@@ -61,6 +61,9 @@ def _bigint(text: str) -> int:
     negative = s.startswith("-")
     if negative or s.startswith("+"):
         s = s[1:]
+    # int() would take a second sign (or space) itself: "--5" must not read as 5
+    if not s[:1].isdecimal():
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     try:
         value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
     except ValueError:
@@ -293,8 +296,14 @@ def _cmd_bench(args) -> int:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    # Integers of any length must parse and print, so the int/str digit limit
+    # (CPython 3.11, and 3.10 from 3.10.7) is lifted for this run only.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotRepresentableError as exc:
         print(f"not representable: {exc}", file=sys.stderr)
@@ -305,6 +314,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except GcdDisagreement as exc:
         print(f"agreement failure: {exc}", file=sys.stderr)
         return EX_FAILURE
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -6,6 +6,13 @@ per c (unique when gcd(a, b) = 1), bounds the stored values by the inputs
 themselves, and lets the descent replace Euclidean divisions with
 subtractions and halvings.
 
+Since v determines u through u = (c - v*b) / a, the descent runs on the
+pairs (c, v) alone.  One kernel, ``_descent``, serves ``wwl1``, ``wwl2``
+and their ``_trace`` twins, and each recovers u once, by one exact
+division, after the loop.  ``div1`` and ``div2`` are the paper's halving
+steps on (c, v) and on (u, v, c); the kernel inlines the first, and the
+tests check the kernel against both.
+
 ``wwl1`` solves the coprime case, ``wwl2`` any positive pair with odd
 first operand, and ``ext_gcd`` is the total entry point covering signs,
 zeros, and pairs with a shared power of two.
@@ -74,6 +81,19 @@ def _require_odd_positive(a: int) -> None:
         raise ValueError(f"first operand must be odd, got {a}")
 
 
+def _require_operands(a: int, b: int) -> None:
+    _require_odd_positive(a)
+    if b < 1:
+        raise ValueError(f"second operand must be positive, got {b}")
+
+
+def _require_coprime(a: int, b: int) -> None:
+    _require_operands(a, b)
+    g = math.gcd(a, b)
+    if g != 1:
+        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {g}")
+
+
 def normalize_solution(a: int, b: int, u: int, v: int) -> NormalState:
     """Shift (u, v) along the solution family until v lands in [0, a-1].
 
@@ -117,35 +137,59 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
     return NormalState(u, v, c)
 
 
+def _descent(
+    a: int, b: int, stop: int, trace: list[tuple[int, int]] | None
+) -> tuple[int, int]:
+    """The subtract-and-halve descent on normal pairs (c, v); a >= 1 odd, b >= 1.
+
+    Starts from c = b mod a with v = 1 and c = a - (b mod a) with v = a - 1,
+    each halved to its odd part, and keeps c1 <= c2.  Each iteration
+    replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
+    odd part; a halving maps v to v/2 when v is even and to (v + a)/2
+    otherwise, which is div1's step.  Runs while c1 > stop and returns the
+    surviving (v, c): (v1, c1) when c1 is nonzero, else (v2, c2).  a = 1
+    needs no special case: c1 = 0 from the start and (0, 1) survives.  When
+    trace is a list, (c1, c2) is appended at loop entry and after every
+    iteration.
+    """
+    r = b % a
+    c1, v1 = r, 1
+    c2, v2 = a - r, a - 1
+    # c1 = 0 when a | b; it must skip the halving loop (0 stays even forever)
+    while c1 and not c1 & 1:
+        c1 >>= 1
+        v1 = (v1 + a) >> 1 if v1 & 1 else v1 >> 1
+    while not c2 & 1:
+        c2 >>= 1
+        v2 = (v2 + a) >> 1 if v2 & 1 else v2 >> 1
+    if c2 < c1:
+        c1, v1, c2, v2 = c2, v2, c1, v1
+    if trace is not None:
+        trace.append((c1, c2))
+    while c1 > stop:
+        c2 -= c1
+        v2 = v2 - v1 if v2 >= v1 else v2 - v1 + a
+        while c2 and not c2 & 1:
+            c2 >>= 1
+            v2 = (v2 + a) >> 1 if v2 & 1 else v2 >> 1
+        if c2 < c1:
+            c1, v1, c2, v2 = c2, v2, c1, v1
+        if trace is not None:
+            trace.append((c1, c2))
+    return (v1, c1) if c1 else (v2, c2)
+
+
 def wwl1(a: int, b: int) -> tuple[int, int]:
     """Solve u*a + v*b = 1 for coprime positive a, b with a odd.
 
-    Returns the unique solution whose v lies in [0, a-1].  Runs a
-    subtract-and-halve descent on two normalized values seeded from the
-    residues of b and -b modulo a; u is reconstructed once at the end from
-    u = -v*q + (1 - v*r)/a where b = a*q + r.
+    Returns the unique solution whose v lies in [0, a-1].  The descent
+    tracks only normalized v values, seeded from the residues of b and -b
+    modulo a, and stops when one c reaches 1; u is recovered once at the
+    end as (1 - v*b) / a.
     """
-    _require_odd_positive(a)
-    if b < 1:
-        raise ValueError(f"second operand must be positive, got {b}")
-    g = math.gcd(a, b)
-    if g != 1:
-        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {g}")
-    if a == 1:
-        return 1, 0
-    q, r = divmod(b, a)
-    c1, v1 = div1(a, r, 1)
-    c2, v2 = div1(a, a - r, a - 1)
-    if c2 < c1:
-        c1, v1, c2, v2 = c2, v2, c1, v1
-    while c1 > 1:
-        c2 -= c1
-        v2 = v2 - v1 if v2 >= v1 else v2 - v1 + a
-        c2, v2 = div1(a, c2, v2)
-        if c2 < c1:
-            c1, v1, c2, v2 = c2, v2, c1, v1
-    v = v1
-    return -v * q + (1 - v * r) // a, v
+    _require_coprime(a, b)
+    v, _ = _descent(a, b, 1, None)
+    return (1 - v * b) // a, v
 
 
 def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
@@ -154,75 +198,27 @@ def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
     The sum c1 + c2 strictly decreases along the returned list and
     gcd(c1, c2) = 1 holds at every index.
     """
-    _require_odd_positive(a)
-    if b < 1:
-        raise ValueError(f"second operand must be positive, got {b}")
-    g = math.gcd(a, b)
-    if g != 1:
-        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {g}")
-    if a == 1:
-        return (1, 0), [(0, 1)]
-    q, r = divmod(b, a)
-    c1, v1 = div1(a, r, 1)
-    c2, v2 = div1(a, a - r, a - 1)
-    if c2 < c1:
-        c1, v1, c2, v2 = c2, v2, c1, v1
-    trace = [(c1, c2)]
-    while c1 > 1:
-        c2 -= c1
-        v2 = v2 - v1 if v2 >= v1 else v2 - v1 + a
-        c2, v2 = div1(a, c2, v2)
-        if c2 < c1:
-            c1, v1, c2, v2 = c2, v2, c1, v1
-        trace.append((c1, c2))
-    v = v1
-    return (-v * q + (1 - v * r) // a, v), trace
+    _require_coprime(a, b)
+    trace: list[tuple[int, int]] = []
+    v, _ = _descent(a, b, 1, trace)
+    return ((1 - v * b) // a, v), trace
 
 
 def wwl2(a: int, b: int) -> BezoutTriple:
     """Extended gcd for positive a, b with a odd: u*a + v*b = g, 0 <= v <= a-1.
 
-    Maintains two normal solutions and descends by one subtraction plus a
-    run of halvings per iteration; when one c reaches 0 the other triple
-    carries gcd(a, b).
+    Descends on normalized v values alone, by one subtraction plus a run of
+    halvings per iteration, until one c reaches 0; the other c is
+    g = gcd(a, b), and u is recovered once at the end as (g - v*b) / a.
+
+    For coprime inputs v is the unique normalizer of 1.  When g > 1, v is
+    the normalizer of g that the descent leaves: a | (g - v*b) and v lies
+    in [0, a-1], but of the g such values it need not be the smallest;
+    canonical_min_v gives the smallest.
     """
-    _require_odd_positive(a)
-    if b < 1:
-        raise ValueError(f"second operand must be positive, got {b}")
-    if a == 1:
-        return BezoutTriple(1, 0, 1)
-    q, r = divmod(b, a)
-    u1, v1, c1 = -q, 1, r
-    u2, v2, c2 = 1 + q - b, a - 1, a - r
-    # c1 = 0 when a | b; it must skip the halving loop (0 stays even forever)
-    while c1 != 0 and c1 % 2 == 0:
-        if v1 % 2 == 0:
-            u1, v1, c1 = u1 // 2, v1 // 2, c1 // 2
-        else:
-            u1, v1, c1 = (u1 - b) // 2, (v1 + a) // 2, c1 // 2
-    while c2 % 2 == 0:
-        if v2 % 2 == 0:
-            u2, v2, c2 = u2 // 2, v2 // 2, c2 // 2
-        else:
-            u2, v2, c2 = (u2 - b) // 2, (v2 + a) // 2, c2 // 2
-    if c2 < c1:
-        u1, v1, c1, u2, v2, c2 = u2, v2, c2, u1, v1, c1
-    while c1 > 0:
-        c2 -= c1
-        if v2 < v1:
-            v2 += a - v1
-            u2 -= u1 + b
-        else:
-            v2 -= v1
-            u2 -= u1
-        while c2 != 0 and c2 % 2 == 0:
-            if v2 % 2 == 0:
-                u2, v2, c2 = u2 // 2, v2 // 2, c2 // 2
-            else:
-                u2, v2, c2 = (u2 - b) // 2, (v2 + a) // 2, c2 // 2
-        if c2 < c1:
-            u1, v1, c1, u2, v2, c2 = u2, v2, c2, u1, v1, c1
-    return BezoutTriple(u2, v2, c2)
+    _require_operands(a, b)
+    v, g = _descent(a, b, 0, None)
+    return BezoutTriple((g - v * b) // a, v, g)
 
 
 def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
@@ -232,31 +228,10 @@ def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
     strictly decreases along the list and gcd(c1, c2) = gcd(a, b) holds at
     every index.
     """
-    _require_odd_positive(a)
-    if b < 1:
-        raise ValueError(f"second operand must be positive, got {b}")
-    if a == 1:
-        return BezoutTriple(1, 0, 1), [(0, 1)]
-    q, r = divmod(b, a)
-    s1 = div2(a, b, NormalState(-q, 1, r))
-    s2 = div2(a, b, NormalState(1 + q - b, a - 1, a - r))
-    if s2.c < s1.c:
-        s1, s2 = s2, s1
-    trace = [(s1.c, s2.c)]
-    while s1.c > 0:
-        u2, v2, c2 = s2
-        c2 -= s1.c
-        if v2 < s1.v:
-            v2 += a - s1.v
-            u2 -= s1.u + b
-        else:
-            v2 -= s1.v
-            u2 -= s1.u
-        s2 = div2(a, b, NormalState(u2, v2, c2))
-        if s2.c < s1.c:
-            s1, s2 = s2, s1
-        trace.append((s1.c, s2.c))
-    return BezoutTriple(s2.u, s2.v, s2.c), trace
+    _require_operands(a, b)
+    trace: list[tuple[int, int]] = []
+    v, g = _descent(a, b, 0, trace)
+    return BezoutTriple((g - v * b) // a, v, g), trace
 
 
 def ext_gcd(a: int, b: int) -> BezoutTriple:

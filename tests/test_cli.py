@@ -73,6 +73,56 @@ def test_extgcd_conormalizer_needs_nonzero_a():
     assert out.returncode == 2
 
 
+# --- integer arguments ----------------------------------------------------------
+
+
+@pytest.fixture
+def unlimited_digits():
+    """Let this process convert the long integers the CLI reads and prints."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("text", ["--5", "+-5", "-+5", "++5", "- -5"])
+def test_doubled_sign_is_a_usage_error(text):
+    out = run_cli("extgcd", "--", text, "3")
+    assert out.returncode == 64
+    assert "not an integer" in out.stderr
+
+
+def test_decimal_operand_longer_than_4300_digits(unlimited_digits):
+    a = "1" + "0" * 4999 + "1"
+    out = run_cli("extgcd", a, "7")
+    assert out.returncode == 0
+    u, v, g = (int(x) for x in out.stdout.split())
+    assert u * int(a) + v * 7 == g == math.gcd(int(a), 7)
+
+
+def test_result_longer_than_4300_digits(unlimited_digits):
+    b = 3**10000  # 4772 decimal digits
+    out = run_cli("extgcd", "0", hex(b))
+    assert out.returncode == 0
+    assert out.stdout == f"0 1 {b}\n"
+
+
+def test_run_restores_the_digit_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        pytest.skip("this interpreter has no int/str digit limit")
+    limit = get_limit()
+    assert cli.main(["gcd", "0", hex(3**10000)]) == 0
+    assert len(capsys.readouterr().out.strip()) == 4772
+    assert get_limit() == limit
+
+
 # --- gcd ----------------------------------------------------------------------
 
 

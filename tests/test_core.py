@@ -232,6 +232,111 @@ def test_wwl2_when_a_divides_b():
             assert 0 <= v < a
 
 
+def test_wwl2_representative_when_gcd_exceeds_one():
+    # the normalizer of g the descent leaves: in range, but not the smallest
+    a, b = 57795, 34835
+    t = wwl2(a, b)
+    assert t == (-9745, 16168, 5)
+    canonical = canonical_min_v(a, b, t)
+    assert canonical.v == 4609
+    assert (t.v - canonical.v) % (a // t.g) == 0
+
+
+# --- the descent kernel against the paper's step functions -------------------
+#
+# Reference descents built from div1 and div2 step by step.  The div2 one
+# carries u through every subtraction and halving; the div1 one rebuilds u
+# from b = a*q + r.  Both check the kernel's single exact division for u.
+
+
+def reference_wwl1_trace(a, b):
+    if a == 1:
+        return (1, 0), [(0, 1)]
+    q, r = divmod(b, a)
+    c1, v1 = div1(a, r, 1)
+    c2, v2 = div1(a, a - r, a - 1)
+    if c2 < c1:
+        c1, v1, c2, v2 = c2, v2, c1, v1
+    trace = [(c1, c2)]
+    while c1 > 1:
+        c2 -= c1
+        v2 = v2 - v1 if v2 >= v1 else v2 - v1 + a
+        c2, v2 = div1(a, c2, v2)
+        if c2 < c1:
+            c1, v1, c2, v2 = c2, v2, c1, v1
+        trace.append((c1, c2))
+    return (-v1 * q + (1 - v1 * r) // a, v1), trace
+
+
+def reference_wwl2_trace(a, b):
+    if a == 1:
+        return BezoutTriple(1, 0, 1), [(0, 1)]
+    q, r = divmod(b, a)
+    s1 = div2(a, b, NormalState(-q, 1, r))
+    s2 = div2(a, b, NormalState(1 + q - b, a - 1, a - r))
+    if s2.c < s1.c:
+        s1, s2 = s2, s1
+    trace = [(s1.c, s2.c)]
+    while s1.c > 0:
+        u2, v2, c2 = s2
+        c2 -= s1.c
+        if v2 < s1.v:
+            v2 += a - s1.v
+            u2 -= s1.u + b
+        else:
+            v2 -= s1.v
+            u2 -= s1.u
+        s2 = div2(a, b, NormalState(u2, v2, c2))
+        if s2.c < s1.c:
+            s1, s2 = s2, s1
+        trace.append((s1.c, s2.c))
+    return BezoutTriple(s2.u, s2.v, s2.c), trace
+
+
+def assert_descents_match_reference(a, b):
+    triple, trace = reference_wwl2_trace(a, b)
+    assert wwl2_trace(a, b) == (triple, trace)
+    out = wwl2(a, b)
+    assert out == triple and type(out) is BezoutTriple
+    if math.gcd(a, b) == 1:
+        pair, trace1 = reference_wwl1_trace(a, b)
+        assert wwl1_trace(a, b) == (pair, trace1)
+        assert wwl1(a, b) == pair
+
+
+def _odd_2048_pairs(shared):
+    rng = random.Random(2048 + shared)
+    for _ in range(3):
+        a = rng.getrandbits(2048) | (1 << 2047) | 1
+        yield a * shared, rng.randrange(1, a) * shared
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (1, 1),
+        (1, 42),
+        (1, 2**2048 + 5),
+        (3, 6),
+        (9, 27),
+        (15, 15),
+        (21, 147),
+        (57795, 34835),
+        (9, 6),
+        (45, 75),
+        *_odd_2048_pairs(1),
+        *_odd_2048_pairs(105),
+    ],
+)
+def test_descents_match_reference_fixed_cases(a, b):
+    assert_descents_match_reference(a, b)
+
+
+@given(a=odd_positive, b=positive, k=st.integers(0, 50).map(lambda n: 2 * n + 1))
+def test_descents_match_reference_sweep(a, b, k):
+    assert_descents_match_reference(a * k, b * k)
+
+
 # --- ext_gcd ----------------------------------------------------------------
 
 
