@@ -26,7 +26,6 @@ from .bench import (
     cells_from_csv,
     emit_report,
     generate_corpus,
-    merge_corpora,
     report_from_json,
     run_benchmark,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "exhaustive_verify",
     "ext_gcd",
     "generate_corpus",
-    "merge_corpora",
     "mixed_euclid_gcd",
     "mixed_euclid_gcd_steps",
     "normalize_solution",

@@ -3,13 +3,22 @@
 Each algorithm has a plain form used for timing and a ``*_steps`` form that
 also counts main-loop iterations, a hardware-independent work measure.
 Inputs are nonnegative; gcd(x, 0) = x by convention.
+
+``ALGORITHMS`` is the one table from algorithm name to that pair of
+functions, with the normalized solver ``wwl2`` as its fourth row; the
+benchmark and the CLI both look algorithms up in it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable, NamedTuple
+
+from .core import wwl2, wwl2_trace
 
 __all__ = [
+    "ALGORITHMS",
+    "Algorithm",
     "GcdAlgorithmId",
     "binary_gcd",
     "binary_gcd_steps",
@@ -140,3 +149,29 @@ def mixed_euclid_gcd_steps(a: int, b: int) -> tuple[int, int]:
     r1, r2 = r2 % r1, r1
     g, n = binary_gcd_steps(r1, r2)
     return g << m, n
+
+
+def _wwl2_steps(a: int, b: int) -> tuple[int, int]:
+    triple, trace = wwl2_trace(a, b)
+    return triple.g, len(trace) - 1
+
+
+class Algorithm(NamedTuple):
+    """One row of ALGORITHMS.
+
+    ``timed`` is the function the benchmark times; ``steps`` returns
+    (gcd, main-loop iterations) for the same pair.
+    """
+
+    timed: Callable[[int, int], object]
+    steps: Callable[[int, int], tuple[int, int]]
+
+
+# wwl2 is timed as the full extended solver, which is the comparison of
+# interest: it returns the coefficients the baselines do not
+ALGORITHMS: dict[GcdAlgorithmId, Algorithm] = {
+    GcdAlgorithmId.EUCLID: Algorithm(euclid_gcd, euclid_gcd_steps),
+    GcdAlgorithmId.BINARY: Algorithm(binary_gcd, binary_gcd_steps),
+    GcdAlgorithmId.MIXED: Algorithm(mixed_euclid_gcd, mixed_euclid_gcd_steps),
+    GcdAlgorithmId.WWL2: Algorithm(wwl2, _wwl2_steps),
+}

@@ -1,10 +1,12 @@
 """Seeded workloads and a timing harness for the four gcd algorithms.
 
 Corpus generation is a pure function of its spec: same spec, same pairs,
-bit for bit.  The harness first sweeps every pair through every algorithm
-to force gcd agreement (and collect loop-iteration counts), then times
-single-threaded wall clock per pair.  Reports serialize to CSV or JSON
-with a fixed schema.
+bit for bit.  The harness takes each algorithm's functions from the one
+table ``baselines.ALGORITHMS``.  It first sweeps every pair through every
+``steps`` function to force gcd agreement (and collect loop-iteration
+counts), then times the ``timed`` functions single-threaded, per pair,
+and checks their outputs outside the timed region.  Reports serialize to
+CSV or JSON with a fixed schema.
 """
 
 from __future__ import annotations
@@ -15,18 +17,9 @@ import random
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
-from .baselines import (
-    GcdAlgorithmId,
-    binary_gcd,
-    binary_gcd_steps,
-    euclid_gcd,
-    euclid_gcd_steps,
-    mixed_euclid_gcd,
-    mixed_euclid_gcd_steps,
-)
-from .core import wwl2, wwl2_trace
+from .baselines import ALGORITHMS, GcdAlgorithmId
 
 __all__ = [
     "BenchCell",
@@ -39,7 +32,6 @@ __all__ = [
     "cells_from_csv",
     "emit_report",
     "generate_corpus",
-    "merge_corpora",
     "report_from_json",
     "run_benchmark",
 ]
@@ -94,9 +86,10 @@ class Corpus:
 
 
 class GcdDisagreement(RuntimeError):
-    """Two algorithms returned different gcds for the same pair."""
+    """Two algorithms returned different gcds for the same pair, or a timed
+    function's output failed its check against the agreed gcd."""
 
-    def __init__(self, bit_size: int, pair: CorpusPair, results: dict[str, int]):
+    def __init__(self, bit_size: int, pair: CorpusPair, results: dict[str, object]):
         self.bit_size = bit_size
         self.pair = pair
         self.results = results
@@ -185,46 +178,6 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(spec.seed, spec.parity_mix, pairs_by_size)
 
 
-def merge_corpora(first: Corpus, *rest: Corpus) -> Corpus:
-    """Combine corpora drawn with the same seed and parity over disjoint sizes."""
-    merged = dict(first.pairs_by_size)
-    for other in rest:
-        if other.seed != first.seed or other.parity_mix != first.parity_mix:
-            raise ValueError("corpora disagree on seed or parity mix")
-        overlap = merged.keys() & other.pairs_by_size.keys()
-        if overlap:
-            raise ValueError(f"duplicate bit sizes across corpora: {sorted(overlap)}")
-        merged.update(other.pairs_by_size)
-    return Corpus(first.seed, first.parity_mix, merged)
-
-
-def _wwl2_gcd(a: int, b: int) -> int:
-    return wwl2(a, b).g
-
-
-def _wwl2_gcd_steps(a: int, b: int) -> tuple[int, int]:
-    triple, trace = wwl2_trace(a, b)
-    return triple.g, len(trace) - 1
-
-
-# timed callables; wwl2 is timed as the full extended solver, which is the
-# comparison of interest (it returns the coefficients the baselines do not)
-_TIMED: dict[GcdAlgorithmId, Callable[[int, int], object]] = {
-    GcdAlgorithmId.EUCLID: euclid_gcd,
-    GcdAlgorithmId.BINARY: binary_gcd,
-    GcdAlgorithmId.MIXED: mixed_euclid_gcd,
-    GcdAlgorithmId.WWL2: wwl2,
-}
-
-# agreement/iteration pass: (gcd, main-loop iterations) per algorithm
-_STEPS: dict[GcdAlgorithmId, Callable[[int, int], tuple[int, int]]] = {
-    GcdAlgorithmId.EUCLID: euclid_gcd_steps,
-    GcdAlgorithmId.BINARY: binary_gcd_steps,
-    GcdAlgorithmId.MIXED: mixed_euclid_gcd_steps,
-    GcdAlgorithmId.WWL2: _wwl2_gcd_steps,
-}
-
-
 def run_benchmark(
     corpus: Corpus,
     algorithms: Sequence[Union[GcdAlgorithmId, str]] = tuple(GcdAlgorithmId),
@@ -232,10 +185,13 @@ def run_benchmark(
 ) -> BenchReport:
     """Time every requested algorithm on every corpus pair.
 
-    A validation sweep runs first: each algorithm's gcd on each pair, with
-    any disagreement raising GcdDisagreement before anything is timed; the
-    sweep also collects mean loop-iteration counts.  Timing is then per
-    pair, single-threaded, with one discarded warm-up call per pair.
+    A validation sweep runs first: each algorithm's ``steps`` gcd on each
+    pair, with any disagreement raising GcdDisagreement before anything is
+    timed; the sweep also collects mean loop-iteration counts.  Timing is
+    then per pair, single-threaded, with one warm-up call per pair outside
+    the timed region.  The warm-up output is checked: its gcd must be the
+    agreed one and, for wwl2, u*a + v*b = g with 0 <= v < a must hold;
+    a mismatch raises GcdDisagreement.
     """
     algos = [GcdAlgorithmId(x) for x in algorithms]
     if not algos:
@@ -248,27 +204,32 @@ def run_benchmark(
         raise ValueError("corpus is empty")
 
     mean_steps: dict[tuple[GcdAlgorithmId, int], float] = {}
+    agreed: dict[int, list[int]] = {}
     for k, pairs in corpus.pairs_by_size.items():
         step_sums = dict.fromkeys(algos, 0)
+        agreed[k] = []
         for pair in pairs:
             gcds: dict[str, int] = {}
             for algo in algos:
-                g, n = _STEPS[algo](pair.a, pair.b)
+                g, n = ALGORITHMS[algo].steps(pair.a, pair.b)
                 gcds[algo.value] = g
                 step_sums[algo] += n
             if len(set(gcds.values())) > 1:
                 raise GcdDisagreement(k, pair, gcds)
+            agreed[k].append(g)
         for algo in algos:
             mean_steps[algo, k] = step_sums[algo] / len(pairs)
 
     cells = []
     for algo in algos:
-        fn = _TIMED[algo]
+        fn = ALGORITHMS[algo].timed
         for k, pairs in corpus.pairs_by_size.items():
             per_pair_ns = []
-            for pair in pairs:
+            for pair, g in zip(pairs, agreed[k]):
                 pa, pb = pair.a, pair.b
-                fn(pa, pb)  # warm-up, discarded
+                out = fn(pa, pb)  # warm-up: checked, not timed
+                if not _timed_output_ok(algo, pa, pb, out, g):
+                    raise GcdDisagreement(k, pair, {algo.value: out, "agreed": g})
                 t0 = time.perf_counter_ns()
                 for _ in range(repetitions):
                     fn(pa, pb)
@@ -288,6 +249,13 @@ def run_benchmark(
                 )
             )
     return BenchReport(corpus.seed, _environment_note(), cells)
+
+
+def _timed_output_ok(algo: GcdAlgorithmId, a: int, b: int, out: object, g: int) -> bool:
+    if algo is GcdAlgorithmId.WWL2:
+        u, v, h = out
+        return h == g and u * a + v * b == g and 0 <= v < a
+    return out == g
 
 
 def _environment_note() -> str:

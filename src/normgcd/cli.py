@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification or agreement failure, 2 domain
 errors (unsolvable instances, bad values, unwritable output), 64 usage
-errors.  Integer arguments accept decimal or 0x-prefixed hex of any
+errors.  Integer arguments accept ASCII decimal or 0x-prefixed hex of any
 length, with an optional leading sign.
 """
 
@@ -14,22 +14,17 @@ import sys
 from typing import Optional, Sequence
 
 from . import oracle
-from .baselines import GcdAlgorithmId, binary_gcd, euclid_gcd, mixed_euclid_gcd
+from .baselines import ALGORITHMS, GcdAlgorithmId
 from .bench import (
+    Corpus,
+    CorpusPair,
     CorpusSpec,
     GcdDisagreement,
     emit_report,
     generate_corpus,
-    merge_corpora,
     run_benchmark,
 )
-from .core import (
-    BezoutTriple,
-    NotRepresentableError,
-    canonical_min_v,
-    ext_gcd,
-    normalizer_of,
-)
+from .core import NotRepresentableError, canonical_min_v, ext_gcd, normalizer_of
 
 EX_OK = 0
 EX_FAILURE = 1
@@ -41,6 +36,9 @@ DEFAULT_PAIRS = 10_000
 DEFAULT_PAIRS_LARGE = 500
 LARGE_BITS_THRESHOLD = 512
 
+# ASCII only: int() alone would also take "1_000", "0x_1f" and non-ASCII digits
+_INTEGER = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)$")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage problems; 2 is reserved for domain errors
@@ -49,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # -0x1f must read as a negative number, not as an option flag
-        self._negative_number_matcher = re.compile(r"^-(?:\d+|0[xX][0-9a-fA-F]+)$")
+        self._negative_number_matcher = _INTEGER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -58,17 +56,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _bigint(text: str) -> int:
     s = text.strip()
-    negative = s.startswith("-")
-    if negative or s.startswith("+"):
-        s = s[1:]
-    # int() would take a second sign (or space) itself: "--5" must not read as 5
-    if not s[:1].isdecimal():
+    if not _INTEGER.match(s):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    try:
-        value = int(s, 16) if s[:2].lower() == "0x" else int(s, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    return -value if negative else value
+    return int(s, 16 if "x" in s.lower() else 10)
 
 
 def _positive_int(text: str) -> int:
@@ -192,25 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonicalize(a: int, b: int, t: BezoutTriple) -> BezoutTriple:
-    """Minimal-nonnegative-v form of t, extended to signed operands."""
-    if t.g == 0:
-        raise ValueError("no canonical solution for (0, 0)")
-    if a == 0 or b == 0:
-        # one coordinate is forced and the other free: t is already canonical
-        return t
-    if a > 0 and b > 0:
-        return canonical_min_v(a, b, t)
-    step = abs(a) // t.g
-    vn = t.v % step
-    k = (t.v - vn) // (a // t.g)
-    return BezoutTriple(t.u + k * (b // t.g), vn, t.g)
-
-
 def _cmd_extgcd(args) -> int:
     t = ext_gcd(args.a, args.b)
     if args.canonical:
-        t = _canonicalize(args.a, args.b, t)
+        if t.g == 0:
+            raise ValueError("no canonical solution for (0, 0)")
+        # with one operand zero, one coordinate is forced and the other free:
+        # t is already canonical
+        if args.a and args.b:
+            t = canonical_min_v(args.a, args.b, t)
     line = f"{t.u} {t.v} {t.g}"
     if args.conormalizer:
         if args.a == 0:
@@ -224,14 +204,10 @@ def _cmd_extgcd(args) -> int:
 def _cmd_gcd(args) -> int:
     algo = GcdAlgorithmId(args.algo)
     if algo is GcdAlgorithmId.WWL2:
+        # wwl2 itself takes positive odd-first pairs only; ext_gcd takes any
         g = ext_gcd(args.a, args.b).g
     else:
-        fn = {
-            GcdAlgorithmId.EUCLID: euclid_gcd,
-            GcdAlgorithmId.BINARY: binary_gcd,
-            GcdAlgorithmId.MIXED: mixed_euclid_gcd,
-        }[algo]
-        g = fn(abs(args.a), abs(args.b))
+        g = ALGORITHMS[algo].timed(abs(args.a), abs(args.b))
     print(g)
     return EX_OK
 
@@ -259,21 +235,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     bits = args.bits if args.bits is not None else DEFAULT_BITS
-    if args.count is not None:
-        counts = {k: args.count for k in bits}
-    else:
-        counts = {
-            k: DEFAULT_PAIRS if k <= LARGE_BITS_THRESHOLD else DEFAULT_PAIRS_LARGE
-            for k in bits
-        }
+    # sizes that share a pair count are drawn together, each group from a
+    # fresh generator seeded with --seed
     by_count: dict[int, list[int]] = {}
     for k in bits:
-        by_count.setdefault(counts[k], []).append(k)
-    corpora = [
-        generate_corpus(CorpusSpec(tuple(sizes), n, args.seed))
-        for n, sizes in by_count.items()
-    ]
-    corpus = merge_corpora(*corpora)
+        default = DEFAULT_PAIRS if k <= LARGE_BITS_THRESHOLD else DEFAULT_PAIRS_LARGE
+        by_count.setdefault(args.count or default, []).append(k)
+    pairs_by_size: dict[int, list[CorpusPair]] = {}
+    for n, sizes in by_count.items():
+        group = generate_corpus(CorpusSpec(tuple(sizes), n, args.seed))
+        pairs_by_size.update(group.pairs_by_size)
+    corpus = Corpus(args.seed, "any", pairs_by_size)
 
     report = run_benchmark(corpus, list(GcdAlgorithmId), args.reps)
     data = emit_report(report, args.format)

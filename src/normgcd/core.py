@@ -289,19 +289,21 @@ def normalizer_of(a: int, b: int, c: int) -> Normalizer:
 
 
 def canonical_min_v(a: int, b: int, t: BezoutTriple) -> BezoutTriple:
-    """The Bezout solution for positive (a, b) with the smallest nonnegative v.
+    """The Bezout solution for nonzero (a, b) with the smallest nonnegative v.
 
-    Steps t along the solution family (u, v) -> (u + b/g, v - a/g).  For
-    coprime inputs the normalized solver output is already canonical.
-    Rejects g <= 0 and triples that do not solve the pair.
+    Steps t along the solution family (u, v) -> (u + b/g, v - a/g) until v
+    lies in [0, |a|/g - 1].  Either operand may be negative.  For positive
+    coprime inputs with a odd the normalized solver output is already
+    canonical.  Rejects zero operands, g <= 0 and triples that do not solve
+    the pair.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"operands must be positive, got ({a}, {b})")
+    if a == 0 or b == 0:
+        raise ValueError(f"operands must be nonzero, got ({a}, {b})")
     u, v, g = t
     if g <= 0:
         raise ValueError(f"g must be positive, got {g}")
     if u * a + v * b != g or a % g != 0 or b % g != 0:
         raise ValueError(f"{t!r} does not solve u*{a} + v*{b} = gcd")
-    step = a // g
+    step = abs(a) // g
     vn = v % step
-    return BezoutTriple(u + (v - vn) // step * (b // g), vn, g)
+    return BezoutTriple(u + (v - vn) // (a // g) * (b // g), vn, g)

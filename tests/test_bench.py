@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from normgcd.baselines import GcdAlgorithmId
+from normgcd.baselines import ALGORITHMS, GcdAlgorithmId
 from normgcd.bench import (
     BenchCell,
     BenchReport,
@@ -14,10 +14,10 @@ from normgcd.bench import (
     cells_from_csv,
     emit_report,
     generate_corpus,
-    merge_corpora,
     report_from_json,
     run_benchmark,
 )
+from normgcd.core import wwl2
 import normgcd.bench as bench_module
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -84,19 +84,6 @@ def test_generate_rejects_bad_specs(spec):
         generate_corpus(spec)
 
 
-def test_merge_corpora():
-    first = generate_corpus(CorpusSpec((8,), 3, seed=9))
-    second = generate_corpus(CorpusSpec((16,), 4, seed=9))
-    merged = merge_corpora(first, second)
-    assert list(merged.pairs_by_size) == [8, 16]
-    assert merged.total_pairs() == 7
-
-    with pytest.raises(ValueError):
-        merge_corpora(first, generate_corpus(CorpusSpec((8,), 3, seed=9)))
-    with pytest.raises(ValueError):
-        merge_corpora(first, generate_corpus(CorpusSpec((16,), 3, seed=8)))
-
-
 # --- benchmark runs ---------------------------------------------------------
 
 
@@ -153,13 +140,34 @@ def test_run_benchmark_rejects_empty_corpus():
 
 def test_disagreement_aborts_with_diagnostics(monkeypatch):
     corpus = generate_corpus(CorpusSpec((8,), 3, seed=10))
-    broken = dict(bench_module._STEPS)
-    broken[GcdAlgorithmId.BINARY] = lambda a, b: (math.gcd(a, b) + 1, 0)
-    monkeypatch.setattr(bench_module, "_STEPS", broken)
+    algo = GcdAlgorithmId.BINARY
+    broken = ALGORITHMS[algo]._replace(steps=lambda a, b: (math.gcd(a, b) + 1, 0))
+    monkeypatch.setitem(ALGORITHMS, algo, broken)
     with pytest.raises(GcdDisagreement) as exc:
         run_benchmark(corpus)
     assert exc.value.bit_size == 8
     assert "binary" in exc.value.results
+
+
+def _wwl2_v_off_by_a(a, b):
+    u, v, g = wwl2(a, b)
+    return u - b, v + a, g  # still solves the pair, but v is out of range
+
+
+@pytest.mark.parametrize(
+    "algo,timed",
+    [
+        (GcdAlgorithmId.BINARY, lambda a, b: math.gcd(a, b) + 1),
+        (GcdAlgorithmId.WWL2, _wwl2_v_off_by_a),
+    ],
+    ids=["wrong_gcd", "v_out_of_range"],
+)
+def test_wrong_timed_output_aborts(monkeypatch, algo, timed):
+    corpus = generate_corpus(CorpusSpec((8,), 3, seed=10))
+    monkeypatch.setitem(ALGORITHMS, algo, ALGORITHMS[algo]._replace(timed=timed))
+    with pytest.raises(GcdDisagreement) as exc:
+        run_benchmark(corpus)
+    assert algo.value in exc.value.results
 
 
 def test_mean_iterations_match_direct_counts():
@@ -167,7 +175,7 @@ def test_mean_iterations_match_direct_counts():
     report = run_benchmark(corpus, algorithms=("euclid",))
     pairs = corpus.pairs_by_size[12]
     expected = sum(
-        bench_module._STEPS[GcdAlgorithmId.EUCLID](p.a, p.b)[1] for p in pairs
+        ALGORITHMS[GcdAlgorithmId.EUCLID].steps(p.a, p.b)[1] for p in pairs
     ) / len(pairs)
     assert report.cells[0].mean_iterations == expected
 

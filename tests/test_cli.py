@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from normgcd import cli
+from normgcd.bench import CorpusSpec, generate_corpus
 from normgcd.oracle import Failure, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,6 +58,16 @@ def test_extgcd_canonical():
     assert out.stdout == "-1 2 3\n"
 
 
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [("-12", "18", "1 1 6\n"), ("9", "-6", "1 1 3\n"), ("-9", "-6", "-1 1 3\n")],
+)
+def test_extgcd_canonical_signed(a, b, expected):
+    out = run_cli("extgcd", a, b, "--canonical")
+    assert out.returncode == 0
+    assert out.stdout == expected
+
+
 def test_extgcd_canonical_of_zero_pair_is_domain_error():
     out = run_cli("extgcd", "0", "0", "--canonical")
     assert out.returncode == 2
@@ -91,7 +102,9 @@ def unlimited_digits():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("text", ["--5", "+-5", "-+5", "++5", "- -5"])
+@pytest.mark.parametrize(
+    "text", ["--5", "+-5", "-+5", "++5", "- -5", "1_000", "\u0663", "0x_1f", "-1_0"]
+)
 def test_doubled_sign_is_a_usage_error(text):
     out = run_cli("extgcd", "--", text, "3")
     assert out.returncode == 64
@@ -230,6 +243,23 @@ def test_bench_csv_format(tmp_path):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "algorithm,bit_size,pairs,repetitions,total_ns,mean_ns,median_ns,mean_iterations"
     assert len(lines) == 5
+
+
+def test_bench_default_counts_draw_one_corpus_per_count(monkeypatch, tmp_path):
+    class Captured(Exception):
+        pass
+
+    def capture(corpus, *args):
+        raise Captured(corpus)
+
+    monkeypatch.setattr(cli, "run_benchmark", capture)
+    with pytest.raises(Captured) as exc:
+        cli.main(["bench", "--bits", "16,1024", "--seed", "1", "--out", str(tmp_path / "r")])
+    corpus = exc.value.args[0]
+    small = generate_corpus(CorpusSpec((16,), 10000, 1)).pairs_by_size
+    large = generate_corpus(CorpusSpec((1024,), 500, 1)).pairs_by_size
+    assert corpus.seed == 1
+    assert list(corpus.pairs_by_size.items()) == [(16, small[16]), (1024, large[1024])]
 
 
 def test_bench_unwritable_output_exits_2(tmp_path):

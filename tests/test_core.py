@@ -501,13 +501,15 @@ def test_canonical_is_minimal(a, b, k):
 
 
 def test_canonical_exhaustive_small_grid():
-    for a in range(1, 25):
-        for b in range(1, 25):
+    nonzero = [x for x in range(-24, 25) if x != 0]
+    for a in nonzero:
+        for b in nonzero:
             out = canonical_min_v(a, b, ext_gcd(a, b))
             g = math.gcd(a, b)
             assert out.g == g
             assert out.u * a + out.v * b == g
-            assert out.v == next(v for v in range(a) if (g - v * b) % a == 0)
+            assert 0 <= out.v < abs(a) // g
+            assert out.v == next(v for v in range(abs(a)) if (g - v * b) % a == 0)
 
 
 def test_ext_gcd_handles_very_large_operands():
