@@ -5,7 +5,13 @@ The solvers return the solution of u*a + v*b = gcd(a, b) whose v lies in
 divisions.  The package also ships the three classic gcd algorithms as
 baselines, brute-force verification sweeps, and a seeded benchmark
 harness with CSV/JSON reporting.
+
+``import normgcd`` loads only the solver (``core``) and the baselines.
+The names from ``bench`` and ``oracle`` are served on first use, so a
+one-shot solve does not pay for the benchmark harness or the oracle.
 """
+
+import importlib
 
 from .baselines import (
     GcdAlgorithmId,
@@ -15,19 +21,6 @@ from .baselines import (
     euclid_gcd_steps,
     mixed_euclid_gcd,
     mixed_euclid_gcd_steps,
-)
-from .bench import (
-    BenchCell,
-    BenchReport,
-    Corpus,
-    CorpusPair,
-    CorpusSpec,
-    GcdDisagreement,
-    cells_from_csv,
-    emit_report,
-    generate_corpus,
-    report_from_json,
-    run_benchmark,
 )
 from .core import (
     BezoutTriple,
@@ -45,15 +38,45 @@ from .core import (
     wwl2,
     wwl2_trace,
 )
-from .oracle import (
-    Failure,
-    VerificationReport,
-    brute_normalizer,
-    exhaustive_verify,
-    reference_ext_gcd,
-)
 
 __version__ = "0.1.0"
+
+# name -> submodule that defines it, imported on first attribute access
+_LAZY = {
+    "bench": "bench",
+    "BenchCell": "bench",
+    "BenchReport": "bench",
+    "Corpus": "bench",
+    "CorpusPair": "bench",
+    "CorpusSpec": "bench",
+    "GcdDisagreement": "bench",
+    "cells_from_csv": "bench",
+    "emit_report": "bench",
+    "generate_corpus": "bench",
+    "report_from_json": "bench",
+    "run_benchmark": "bench",
+    "oracle": "oracle",
+    "Failure": "oracle",
+    "VerificationReport": "oracle",
+    "brute_normalizer": "oracle",
+    "exhaustive_verify": "oracle",
+    "reference_ext_gcd": "oracle",
+}
+
+
+def __getattr__(name):
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BenchCell",

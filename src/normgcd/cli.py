@@ -3,7 +3,12 @@
 Exit codes: 0 success, 1 verification or agreement failure, 2 domain
 errors (unsolvable instances, bad values, unwritable output), 64 usage
 errors.  Integer arguments accept ASCII decimal or 0x-prefixed hex of any
-length, with an optional leading sign.
+length, with an optional leading sign; count, seed and bit-size options
+accept ASCII decimal only.
+
+Only ``core`` and ``baselines`` load with this module.  ``verify`` imports
+the oracle and ``bench`` the benchmark harness when they run, so a one-shot
+``extgcd`` does not pay for either.
 """
 
 from __future__ import annotations
@@ -13,17 +18,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from . import oracle
 from .baselines import ALGORITHMS, GcdAlgorithmId
-from .bench import (
-    Corpus,
-    CorpusPair,
-    CorpusSpec,
-    GcdDisagreement,
-    emit_report,
-    generate_corpus,
-    run_benchmark,
-)
 from .core import NotRepresentableError, canonical_min_v, ext_gcd, normalizer_of
 
 EX_OK = 0
@@ -37,7 +32,8 @@ DEFAULT_PAIRS_LARGE = 500
 LARGE_BITS_THRESHOLD = 512
 
 # ASCII only: int() alone would also take "1_000", "0x_1f" and non-ASCII digits
-_INTEGER = re.compile(r"^[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)$")
+_INTEGER = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,8 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # -0x1f must read as a negative number, not as an option flag
-        self._negative_number_matcher = _INTEGER
+        # Every "-" + digit token is an operand, so -0x1f reads as a number and
+        # -1_0 reaches _bigint, which names what is wrong with it.  \d is
+        # Unicode on purpose: "-" and a non-ASCII digit get the same message.
+        self._negative_number_matcher = re.compile(r"-\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -56,38 +54,34 @@ class _Parser(argparse.ArgumentParser):
 
 def _bigint(text: str) -> int:
     s = text.strip()
-    if not _INTEGER.match(s):
+    if not _INTEGER.fullmatch(s):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(s, 16 if "x" in s.lower() else 10)
 
 
+def _decimal(text: str) -> int:
+    s = text.strip()
+    if not _DECIMAL.fullmatch(s):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(s)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _decimal(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits: {text}")
     return value
 
 
 def _bits_list(text: str) -> tuple[int, ...]:
-    try:
-        bits = tuple(int(part, 10) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}"
-        ) from None
+    bits = tuple(_decimal(part) for part in text.split(","))
     if not bits or any(k < 2 for k in bits) or len(set(bits)) != len(bits):
         raise argparse.ArgumentTypeError(
             f"bit sizes must be unique integers >= 2: {text!r}"
@@ -218,7 +212,9 @@ def _cmd_normalizer(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = oracle.exhaustive_verify(args.max)
+    from .oracle import exhaustive_verify
+
+    report = exhaustive_verify(args.max)
     print(report.summary())
     if not report.passed:
         shown = report.failures[:20]
@@ -234,6 +230,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import (
+        Corpus,
+        CorpusSpec,
+        GcdDisagreement,
+        emit_report,
+        generate_corpus,
+        run_benchmark,
+    )
+
     bits = args.bits if args.bits is not None else DEFAULT_BITS
     # sizes that share a pair count are drawn together, each group from a
     # fresh generator seeded with --seed
@@ -241,13 +246,17 @@ def _cmd_bench(args) -> int:
     for k in bits:
         default = DEFAULT_PAIRS if k <= LARGE_BITS_THRESHOLD else DEFAULT_PAIRS_LARGE
         by_count.setdefault(args.count or default, []).append(k)
-    pairs_by_size: dict[int, list[CorpusPair]] = {}
+    drawn = {}
     for n, sizes in by_count.items():
-        group = generate_corpus(CorpusSpec(tuple(sizes), n, args.seed))
-        pairs_by_size.update(group.pairs_by_size)
-    corpus = Corpus(args.seed, "any", pairs_by_size)
+        drawn.update(generate_corpus(CorpusSpec(tuple(sizes), n, args.seed)).pairs_by_size)
+    # report cells follow --bits, not the groups
+    corpus = Corpus(args.seed, "any", {k: drawn[k] for k in bits})
 
-    report = run_benchmark(corpus, list(GcdAlgorithmId), args.reps)
+    try:
+        report = run_benchmark(corpus, list(GcdAlgorithmId), args.reps)
+    except GcdDisagreement as exc:
+        print(f"agreement failure: {exc}", file=sys.stderr)
+        return EX_FAILURE
     data = emit_report(report, args.format)
     try:
         with open(args.out, "wb") as fh:
@@ -283,9 +292,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DOMAIN
-    except GcdDisagreement as exc:
-        print(f"agreement failure: {exc}", file=sys.stderr)
-        return EX_FAILURE
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

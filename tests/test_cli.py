@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+import normgcd.bench
+import normgcd.oracle
 from normgcd import cli
+from normgcd.baselines import ALGORITHMS, GcdAlgorithmId
 from normgcd.bench import CorpusSpec, generate_corpus
 from normgcd.oracle import Failure, VerificationReport
 
@@ -111,6 +114,30 @@ def test_doubled_sign_is_a_usage_error(text):
     assert "not an integer" in out.stderr
 
 
+@pytest.mark.parametrize("text", ["-1_0", "-0x_1f", "-\u0663"])
+def test_dash_led_bad_operand_is_named(text):
+    # no "--": a "-" + digit token must reach the operand parser, not argparse's
+    # option matching, whose message would be "arguments are required: b"
+    out = run_cli("extgcd", text, "3")
+    assert out.returncode == 64
+    assert "not an integer" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--out", "r.csv", "--count", "1_0"),
+        ("bench", "--out", "r.csv", "--seed", "\u0661"),
+        ("bench", "--out", "r.csv", "--bits", "8,1_6"),
+        ("verify", "--max", "1_0"),
+    ],
+)
+def test_option_values_are_ascii_decimal(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 64
+    assert "not an integer" in out.stderr
+
+
 def test_decimal_operand_longer_than_4300_digits(unlimited_digits):
     a = "1" + "0" * 4999 + "1"
     out = run_cli("extgcd", a, "7")
@@ -205,7 +232,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     def fake_verify(limit):
         return VerificationReport(4, [Failure(2, 2, 2, 2, 3)], 0.01)
 
-    monkeypatch.setattr(cli.oracle, "exhaustive_verify", fake_verify)
+    monkeypatch.setattr(normgcd.oracle, "exhaustive_verify", fake_verify)
     code = cli.main(["verify", "--max", "2"])
     captured = capsys.readouterr()
     assert code == 1
@@ -245,21 +272,52 @@ def test_bench_csv_format(tmp_path):
     assert len(lines) == 5
 
 
+class _Captured(Exception):
+    pass
+
+
+def _bench_corpus(monkeypatch, tmp_path, *args):
+    """The corpus `bench` hands to run_benchmark, without timing anything."""
+
+    def capture(corpus, *rest):
+        raise _Captured(corpus)
+
+    monkeypatch.setattr(normgcd.bench, "run_benchmark", capture)
+    with pytest.raises(_Captured) as exc:
+        cli.main(["bench", *args, "--out", str(tmp_path / "r")])
+    return exc.value.args[0]
+
+
 def test_bench_default_counts_draw_one_corpus_per_count(monkeypatch, tmp_path):
-    class Captured(Exception):
-        pass
-
-    def capture(corpus, *args):
-        raise Captured(corpus)
-
-    monkeypatch.setattr(cli, "run_benchmark", capture)
-    with pytest.raises(Captured) as exc:
-        cli.main(["bench", "--bits", "16,1024", "--seed", "1", "--out", str(tmp_path / "r")])
-    corpus = exc.value.args[0]
+    corpus = _bench_corpus(monkeypatch, tmp_path, "--bits", "16,1024", "--seed", "1")
     small = generate_corpus(CorpusSpec((16,), 10000, 1)).pairs_by_size
     large = generate_corpus(CorpusSpec((1024,), 500, 1)).pairs_by_size
     assert corpus.seed == 1
     assert list(corpus.pairs_by_size.items()) == [(16, small[16]), (1024, large[1024])]
+
+
+def test_bench_cells_follow_bits_order(monkeypatch, tmp_path):
+    corpus = _bench_corpus(monkeypatch, tmp_path, "--bits", "1024,16,2048,32", "--seed", "1")
+    # each size keeps the pair stream of its per-count group
+    small = generate_corpus(CorpusSpec((16, 32), 10000, 1)).pairs_by_size
+    large = generate_corpus(CorpusSpec((1024, 2048), 500, 1)).pairs_by_size
+    assert list(corpus.pairs_by_size.items()) == [
+        (1024, large[1024]),
+        (16, small[16]),
+        (2048, large[2048]),
+        (32, small[32]),
+    ]
+
+
+def test_bench_disagreement_exits_1(monkeypatch, capsys, tmp_path):
+    algo = GcdAlgorithmId.BINARY
+    broken = ALGORITHMS[algo]._replace(steps=lambda a, b: (math.gcd(a, b) + 1, 0))
+    monkeypatch.setitem(ALGORITHMS, algo, broken)
+    out_path = tmp_path / "r.csv"
+    code = cli.main(["bench", "--bits", "8", "--count", "2", "--out", str(out_path)])
+    assert code == 1
+    assert "agreement failure" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_bench_unwritable_output_exits_2(tmp_path):
