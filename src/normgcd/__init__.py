@@ -50,10 +50,8 @@ _LAZY = {
     "CorpusPair": "bench",
     "CorpusSpec": "bench",
     "GcdDisagreement": "bench",
-    "cells_from_csv": "bench",
     "emit_report": "bench",
     "generate_corpus": "bench",
-    "report_from_json": "bench",
     "run_benchmark": "bench",
     "oracle": "oracle",
     "Failure": "oracle",
@@ -96,7 +94,6 @@ __all__ = [
     "binary_gcd_steps",
     "brute_normalizer",
     "canonical_min_v",
-    "cells_from_csv",
     "div1",
     "div2",
     "emit_report",
@@ -110,7 +107,6 @@ __all__ = [
     "normalize_solution",
     "normalizer_of",
     "reference_ext_gcd",
-    "report_from_json",
     "run_benchmark",
     "wwl1",
     "wwl1_trace",

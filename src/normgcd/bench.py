@@ -1,12 +1,15 @@
 """Seeded workloads and a timing harness for the four gcd algorithms.
 
 Corpus generation is a pure function of its spec: same spec, same pairs,
-bit for bit.  The harness takes each algorithm's functions from the one
-table ``baselines.ALGORITHMS``.  It first sweeps every pair through every
+bit for bit.  Each k-bit operand lies in [2^(k-1), 2^k), and the first of
+a pair is odd (its low bit is set), so every algorithm takes every pair.
+Each run covers all four algorithms of the one table
+``baselines.ALGORITHMS``.  The harness first sweeps every pair through every
 ``steps`` function to force gcd agreement (and collect loop-iteration
 counts), then times the ``timed`` functions single-threaded, per pair,
 and checks their outputs outside the timed region.  Reports serialize to
-CSV or JSON with a fixed schema.
+CSV or JSON; the fields of ``BenchCell`` are the one schema of a cell in
+both.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import platform
 import random
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .baselines import ALGORITHMS, GcdAlgorithmId
 
@@ -28,49 +30,27 @@ __all__ = [
     "CorpusPair",
     "CorpusSpec",
     "GcdDisagreement",
-    "PARITY_MIXES",
-    "cells_from_csv",
     "emit_report",
     "generate_corpus",
-    "report_from_json",
     "run_benchmark",
 ]
-
-PARITY_MIXES = ("any", "odd-odd", "odd-even")
-
-CSV_COLUMNS = (
-    "algorithm",
-    "bit_size",
-    "pairs",
-    "repetitions",
-    "total_ns",
-    "mean_ns",
-    "median_ns",
-    "mean_iterations",
-)
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What to generate: operand bit sizes, pairs per size, RNG seed, parity."""
+    """What to generate: operand bit sizes, pairs per size, RNG seed."""
 
     bit_sizes: tuple[int, ...]
     pairs_per_size: int
     seed: int
-    parity_mix: str = "any"
 
 
 @dataclass(frozen=True)
 class CorpusPair:
-    """One workload pair.
-
-    ``forced_odd`` records that the first operand was decremented to make
-    it odd, which keeps the same pair inside every algorithm's domain.
-    """
+    """One workload pair; ``a`` is odd, so every algorithm takes it."""
 
     a: int
     b: int
-    forced_odd: bool = False
 
 
 @dataclass
@@ -78,11 +58,7 @@ class Corpus:
     """Generated pairs grouped by bit size, in spec order."""
 
     seed: int
-    parity_mix: str
     pairs_by_size: dict[int, list[CorpusPair]]
-
-    def total_pairs(self) -> int:
-        return sum(len(pairs) for pairs in self.pairs_by_size.values())
 
 
 class GcdDisagreement(RuntimeError):
@@ -100,7 +76,10 @@ class GcdDisagreement(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchCell:
-    """Aggregated timing for one (algorithm, bit size) combination."""
+    """Aggregated timing for one (algorithm, bit size) combination.
+
+    The fields, in this order, are the CSV columns and the JSON cell keys.
+    """
 
     algorithm: str
     bit_size: int
@@ -110,6 +89,9 @@ class BenchCell:
     mean_ns: int
     median_ns: int
     mean_iterations: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchCell))
 
 
 @dataclass
@@ -127,22 +109,18 @@ class BenchReport:
         raise KeyError(f"no cell for ({algorithm!r}, {bit_size})")
 
 
-def _draw(rng: random.Random, bits: int, want_parity: Union[int, None]) -> int:
-    """Uniform in [2^(bits-1), 2^bits), redrawn until the parity matches."""
-    top = 1 << (bits - 1)
-    while True:
-        x = top | rng.getrandbits(bits - 1)
-        if want_parity is None or x & 1 == want_parity:
-            return x
+def _draw(rng: random.Random, bits: int) -> int:
+    """Uniform in [2^(bits-1), 2^bits)."""
+    return (1 << (bits - 1)) | rng.getrandbits(bits - 1)
 
 
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministically draw the corpus described by ``spec``.
 
-    Operands are uniform in [2^(k-1), 2^k) for each requested bit size k
-    and redrawn until the parity mix is met.  The first operand is then
-    made odd (decrement, recorded per pair) so that one corpus feeds every
-    algorithm, including the odd-first solver.
+    Operands are uniform in [2^(k-1), 2^k) for each requested bit size k.
+    The first operand is then made odd by setting its low bit, which keeps
+    it in that range, so that one corpus feeds every algorithm, including
+    the odd-first solver.
     """
     if not spec.bit_sizes:
         raise ValueError("bit_sizes must be non-empty")
@@ -155,35 +133,19 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
         raise ValueError(f"pairs_per_size must be >= 1, got {spec.pairs_per_size}")
     if not 0 <= spec.seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {spec.seed}")
-    if spec.parity_mix not in PARITY_MIXES:
-        raise ValueError(f"unknown parity mix {spec.parity_mix!r}")
 
-    want_a, want_b = {
-        "any": (None, None),
-        "odd-odd": (1, 1),
-        "odd-even": (1, 0),
-    }[spec.parity_mix]
     rng = random.Random(spec.seed)
     pairs_by_size: dict[int, list[CorpusPair]] = {}
     for k in spec.bit_sizes:
-        pairs = []
-        for _ in range(spec.pairs_per_size):
-            a = _draw(rng, k, want_a)
-            b = _draw(rng, k, want_b)
-            forced = a & 1 == 0
-            if forced:
-                a -= 1
-            pairs.append(CorpusPair(a, b, forced))
-        pairs_by_size[k] = pairs
-    return Corpus(spec.seed, spec.parity_mix, pairs_by_size)
+        pairs_by_size[k] = [
+            CorpusPair(_draw(rng, k) | 1, _draw(rng, k))
+            for _ in range(spec.pairs_per_size)
+        ]
+    return Corpus(spec.seed, pairs_by_size)
 
 
-def run_benchmark(
-    corpus: Corpus,
-    algorithms: Sequence[Union[GcdAlgorithmId, str]] = tuple(GcdAlgorithmId),
-    repetitions: int = 1,
-) -> BenchReport:
-    """Time every requested algorithm on every corpus pair.
+def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
+    """Time every algorithm of ``ALGORITHMS`` on every corpus pair.
 
     A validation sweep runs first: each algorithm's ``steps`` gcd on each
     pair, with any disagreement raising GcdDisagreement before anything is
@@ -193,36 +155,31 @@ def run_benchmark(
     agreed one and, for wwl2, u*a + v*b = g with 0 <= v < a must hold;
     a mismatch raises GcdDisagreement.
     """
-    algos = [GcdAlgorithmId(x) for x in algorithms]
-    if not algos:
-        raise ValueError("no algorithms selected")
-    if len(set(algos)) != len(algos):
-        raise ValueError(f"duplicate algorithms in {algorithms!r}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if corpus.total_pairs() == 0:
+    if not any(corpus.pairs_by_size.values()):
         raise ValueError("corpus is empty")
 
     mean_steps: dict[tuple[GcdAlgorithmId, int], float] = {}
     agreed: dict[int, list[int]] = {}
     for k, pairs in corpus.pairs_by_size.items():
-        step_sums = dict.fromkeys(algos, 0)
+        step_sums = dict.fromkeys(ALGORITHMS, 0)
         agreed[k] = []
         for pair in pairs:
             gcds: dict[str, int] = {}
-            for algo in algos:
-                g, n = ALGORITHMS[algo].steps(pair.a, pair.b)
+            for algo, row in ALGORITHMS.items():
+                g, n = row.steps(pair.a, pair.b)
                 gcds[algo.value] = g
                 step_sums[algo] += n
             if len(set(gcds.values())) > 1:
                 raise GcdDisagreement(k, pair, gcds)
             agreed[k].append(g)
-        for algo in algos:
+        for algo in ALGORITHMS:
             mean_steps[algo, k] = step_sums[algo] / len(pairs)
 
     cells = []
-    for algo in algos:
-        fn = ALGORITHMS[algo].timed
+    for algo, row in ALGORITHMS.items():
+        fn = row.timed
         for k, pairs in corpus.pairs_by_size.items():
             per_pair_ns = []
             for pair, g in zip(pairs, agreed[k]):
@@ -268,77 +225,18 @@ def _environment_note() -> str:
 def emit_report(report: BenchReport, fmt: str) -> bytes:
     """Serialize a report; ``fmt`` is "csv" or "json".
 
-    CSV carries exactly the per-cell columns, one row per cell.  JSON
-    mirrors the same cell fields and adds the corpus seed and environment
-    note.  Key order is fixed in both.
+    CSV has a header of the ``BenchCell`` field names and one row of field
+    values per cell.  JSON holds the corpus seed, the environment note and
+    one object per cell with the same fields, in the same order.
     """
     if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for c in report.cells:
-            lines.append(
-                f"{c.algorithm},{c.bit_size},{c.pairs},{c.repetitions},"
-                f"{c.total_ns},{c.mean_ns},{c.median_ns},{c.mean_iterations!r}"
-            )
-        return ("\n".join(lines) + "\n").encode()
+        rows = [CSV_COLUMNS, *map(astuple, report.cells)]
+        return "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
     if fmt == "json":
         doc = {
             "seed": report.seed,
             "environment": report.environment,
-            "cells": [
-                {
-                    "algorithm": c.algorithm,
-                    "bit_size": c.bit_size,
-                    "pairs": c.pairs,
-                    "repetitions": c.repetitions,
-                    "total_ns": c.total_ns,
-                    "mean_ns": c.mean_ns,
-                    "median_ns": c.median_ns,
-                    "mean_iterations": c.mean_iterations,
-                }
-                for c in report.cells
-            ],
+            "cells": [asdict(c) for c in report.cells],
         }
         return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}")
-
-
-def cells_from_csv(data: bytes) -> list[BenchCell]:
-    """Parse ``emit_report(..., "csv")`` output back into cells."""
-    lines = data.decode().strip().splitlines()
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"unexpected CSV header: {lines[:1]!r}")
-    cells = []
-    for line in lines[1:]:
-        alg, bits, pairs, reps, total, mean, median, iters = line.split(",")
-        cells.append(
-            BenchCell(
-                alg,
-                int(bits),
-                int(pairs),
-                int(reps),
-                int(total),
-                int(mean),
-                int(median),
-                float(iters),
-            )
-        )
-    return cells
-
-
-def report_from_json(data: bytes) -> BenchReport:
-    """Parse ``emit_report(..., "json")`` output back into a report."""
-    doc = json.loads(data)
-    cells = [
-        BenchCell(
-            c["algorithm"],
-            c["bit_size"],
-            c["pairs"],
-            c["repetitions"],
-            c["total_ns"],
-            c["mean_ns"],
-            c["median_ns"],
-            c["mean_iterations"],
-        )
-        for c in doc["cells"]
-    ]
-    return BenchReport(doc["seed"], doc["environment"], cells)

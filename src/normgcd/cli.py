@@ -250,10 +250,10 @@ def _cmd_bench(args) -> int:
     for n, sizes in by_count.items():
         drawn.update(generate_corpus(CorpusSpec(tuple(sizes), n, args.seed)).pairs_by_size)
     # report cells follow --bits, not the groups
-    corpus = Corpus(args.seed, "any", {k: drawn[k] for k in bits})
+    corpus = Corpus(args.seed, {k: drawn[k] for k in bits})
 
     try:
-        report = run_benchmark(corpus, list(GcdAlgorithmId), args.reps)
+        report = run_benchmark(corpus, args.reps)
     except GcdDisagreement as exc:
         print(f"agreement failure: {exc}", file=sys.stderr)
         return EX_FAILURE

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,12 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import normgcd.bench
 import normgcd.oracle
 from normgcd import cli
 from normgcd.baselines import ALGORITHMS, GcdAlgorithmId
 from normgcd.bench import CorpusSpec, generate_corpus
+from normgcd.core import ext_gcd
 from normgcd.oracle import Failure, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,6 +90,47 @@ def test_extgcd_conormalizer():
 def test_extgcd_conormalizer_needs_nonzero_a():
     out = run_cli("extgcd", "0", "7", "--conormalizer")
     assert out.returncode == 2
+
+
+def _spell(n: int, as_hex: bool) -> str:
+    return (("-" if n < 0 else "") + hex(abs(n))) if as_hex else str(n)
+
+
+# (value, its decimal or 0x-hex spelling)
+operands = st.builds(
+    lambda n, as_hex: (n, _spell(n, as_hex)),
+    st.integers(-(2**300), 2**300),
+    st.booleans(),
+)
+
+
+def _run_in_process(*argv: str):
+    # Hypothesis rejects function-scoped fixtures such as capsys
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv))
+    return code, out.getvalue()
+
+
+@given(x=operands, y=operands)
+def test_extgcd_prints_the_library_triple(x, y):
+    (a, text_a), (b, text_b) = x, y
+    t = ext_gcd(a, b)
+    assert _run_in_process("extgcd", text_a, text_b) == (0, f"{t.u} {t.v} {t.g}\n")
+
+
+@given(x=operands, y=operands)
+def test_extgcd_canonical_is_a_normalized_solution(x, y):
+    (a, text_a), (b, text_b) = x, y
+    code, out = _run_in_process("extgcd", text_a, text_b, "--canonical")
+    if a == b == 0:
+        assert code == 2
+        return
+    assert code == 0
+    u, v, g = map(int, out.split())
+    assert u * a + v * b == g == math.gcd(a, b)
+    if a and b:
+        assert 0 <= v < abs(a) // g
 
 
 # --- integer arguments ----------------------------------------------------------
