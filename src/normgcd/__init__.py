@@ -14,7 +14,6 @@ one-shot solve does not pay for the benchmark harness or the oracle.
 import importlib
 
 from .baselines import (
-    GcdAlgorithmId,
     binary_gcd,
     binary_gcd_steps,
     euclid_gcd,
@@ -84,7 +83,6 @@ __all__ = [
     "CorpusPair",
     "CorpusSpec",
     "Failure",
-    "GcdAlgorithmId",
     "GcdDisagreement",
     "NormalState",
     "Normalizer",

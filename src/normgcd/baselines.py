@@ -4,14 +4,13 @@ Each algorithm has a plain form used for timing and a ``*_steps`` form that
 also counts main-loop iterations, a hardware-independent work measure.
 Inputs are nonnegative; gcd(x, 0) = x by convention.
 
-``ALGORITHMS`` is the one table from algorithm name to that pair of
-functions, with the normalized solver ``wwl2`` as its fourth row; the
-benchmark and the CLI both look algorithms up in it.
+``ALGORITHMS`` is the one table of algorithms, keyed by the names the CLI
+takes and the reports print, with the normalized solver "wwl2" as its
+fourth row; the benchmark and the CLI both look algorithms up in it.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, NamedTuple
 
 from .core import wwl2, wwl2_trace
@@ -19,7 +18,6 @@ from .core import wwl2, wwl2_trace
 __all__ = [
     "ALGORITHMS",
     "Algorithm",
-    "GcdAlgorithmId",
     "binary_gcd",
     "binary_gcd_steps",
     "euclid_gcd",
@@ -27,15 +25,6 @@ __all__ = [
     "mixed_euclid_gcd",
     "mixed_euclid_gcd_steps",
 ]
-
-
-class GcdAlgorithmId(str, Enum):
-    """Stable algorithm names used by the CLI and in benchmark reports."""
-
-    EUCLID = "euclid"
-    BINARY = "binary"
-    MIXED = "mixed"
-    WWL2 = "wwl2"
 
 
 def euclid_gcd(a: int, b: int) -> int:
@@ -116,22 +105,15 @@ def binary_gcd_steps(a: int, b: int) -> tuple[int, int]:
 def mixed_euclid_gcd(a: int, b: int) -> int:
     """One Euclidean division, then the binary algorithm.
 
-    The shared power of two is taken out before the division, so the inner
-    binary pass never finds another one; the factor is restored exactly
-    once, here.
+    binary_gcd strips and restores the shared power of two of the
+    remainder pair, which is that of (a, b).
     """
     if a == 0:
         return b
     if b == 0:
         return a
-    m = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        m += 1
     r1, r2 = (a, b) if a < b else (b, a)
-    r1, r2 = r2 % r1, r1
-    return binary_gcd(r1, r2) << m
+    return binary_gcd(r2 % r1, r1)
 
 
 def mixed_euclid_gcd_steps(a: int, b: int) -> tuple[int, int]:
@@ -140,15 +122,8 @@ def mixed_euclid_gcd_steps(a: int, b: int) -> tuple[int, int]:
         return b, 0
     if b == 0:
         return a, 0
-    m = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        m += 1
     r1, r2 = (a, b) if a < b else (b, a)
-    r1, r2 = r2 % r1, r1
-    g, n = binary_gcd_steps(r1, r2)
-    return g << m, n
+    return binary_gcd_steps(r2 % r1, r1)
 
 
 def _wwl2_steps(a: int, b: int) -> tuple[int, int]:
@@ -169,9 +144,9 @@ class Algorithm(NamedTuple):
 
 # wwl2 is timed as the full extended solver, which is the comparison of
 # interest: it returns the coefficients the baselines do not
-ALGORITHMS: dict[GcdAlgorithmId, Algorithm] = {
-    GcdAlgorithmId.EUCLID: Algorithm(euclid_gcd, euclid_gcd_steps),
-    GcdAlgorithmId.BINARY: Algorithm(binary_gcd, binary_gcd_steps),
-    GcdAlgorithmId.MIXED: Algorithm(mixed_euclid_gcd, mixed_euclid_gcd_steps),
-    GcdAlgorithmId.WWL2: Algorithm(wwl2, _wwl2_steps),
+ALGORITHMS: dict[str, Algorithm] = {
+    "euclid": Algorithm(euclid_gcd, euclid_gcd_steps),
+    "binary": Algorithm(binary_gcd, binary_gcd_steps),
+    "mixed": Algorithm(mixed_euclid_gcd, mixed_euclid_gcd_steps),
+    "wwl2": Algorithm(wwl2, _wwl2_steps),
 }

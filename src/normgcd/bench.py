@@ -21,7 +21,7 @@ import statistics
 import time
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .baselines import ALGORITHMS, GcdAlgorithmId
+from .baselines import ALGORITHMS
 
 __all__ = [
     "BenchCell",
@@ -157,10 +157,11 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if not any(corpus.pairs_by_size.values()):
-        raise ValueError("corpus is empty")
+    sizes = {k: len(pairs) for k, pairs in corpus.pairs_by_size.items()}
+    if not sizes or 0 in sizes.values():
+        raise ValueError(f"corpus needs pairs at every bit size, got {sizes}")
 
-    mean_steps: dict[tuple[GcdAlgorithmId, int], float] = {}
+    mean_steps: dict[tuple[str, int], float] = {}
     agreed: dict[int, list[int]] = {}
     for k, pairs in corpus.pairs_by_size.items():
         step_sums = dict.fromkeys(ALGORITHMS, 0)
@@ -169,7 +170,7 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
             gcds: dict[str, int] = {}
             for algo, row in ALGORITHMS.items():
                 g, n = row.steps(pair.a, pair.b)
-                gcds[algo.value] = g
+                gcds[algo] = g
                 step_sums[algo] += n
             if len(set(gcds.values())) > 1:
                 raise GcdDisagreement(k, pair, gcds)
@@ -178,15 +179,14 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
             mean_steps[algo, k] = step_sums[algo] / len(pairs)
 
     cells = []
-    for algo, row in ALGORITHMS.items():
-        fn = row.timed
+    for algo, (fn, _) in ALGORITHMS.items():
         for k, pairs in corpus.pairs_by_size.items():
             per_pair_ns = []
             for pair, g in zip(pairs, agreed[k]):
                 pa, pb = pair.a, pair.b
                 out = fn(pa, pb)  # warm-up: checked, not timed
                 if not _timed_output_ok(algo, pa, pb, out, g):
-                    raise GcdDisagreement(k, pair, {algo.value: out, "agreed": g})
+                    raise GcdDisagreement(k, pair, {algo: out, "agreed": g})
                 t0 = time.perf_counter_ns()
                 for _ in range(repetitions):
                     fn(pa, pb)
@@ -195,7 +195,7 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
             calls = len(pairs) * repetitions
             cells.append(
                 BenchCell(
-                    algorithm=algo.value,
+                    algorithm=algo,
                     bit_size=k,
                     pairs=len(pairs),
                     repetitions=repetitions,
@@ -208,8 +208,8 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     return BenchReport(corpus.seed, _environment_note(), cells)
 
 
-def _timed_output_ok(algo: GcdAlgorithmId, a: int, b: int, out: object, g: int) -> bool:
-    if algo is GcdAlgorithmId.WWL2:
+def _timed_output_ok(algo: str, a: int, b: int, out: object, g: int) -> bool:
+    if algo == "wwl2":
         u, v, h = out
         return h == g and u * a + v * b == g and 0 <= v < a
     return out == g

@@ -18,7 +18,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .baselines import ALGORITHMS, GcdAlgorithmId
+from .baselines import ALGORITHMS
 from .core import NotRepresentableError, canonical_min_v, ext_gcd, normalizer_of
 
 EX_OK = 0
@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=_bigint)
     p.add_argument(
         "--algo",
-        choices=[algo.value for algo in GcdAlgorithmId],
-        default=GcdAlgorithmId.WWL2.value,
+        choices=list(ALGORITHMS),
+        default="wwl2",
         help="algorithm to run (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_gcd)
@@ -196,12 +196,11 @@ def _cmd_extgcd(args) -> int:
 
 
 def _cmd_gcd(args) -> int:
-    algo = GcdAlgorithmId(args.algo)
-    if algo is GcdAlgorithmId.WWL2:
+    if args.algo == "wwl2":
         # wwl2 itself takes positive odd-first pairs only; ext_gcd takes any
         g = ext_gcd(args.a, args.b).g
     else:
-        g = ALGORITHMS[algo].timed(abs(args.a), abs(args.b))
+        g = ALGORITHMS[args.algo].timed(abs(args.a), abs(args.b))
     print(g)
     return EX_OK
 
@@ -267,8 +266,8 @@ def _cmd_bench(args) -> int:
 
     ratios = []
     for k in bits:
-        w = report.cell(GcdAlgorithmId.WWL2.value, k).mean_ns
-        x = report.cell(GcdAlgorithmId.MIXED.value, k).mean_ns
+        w = report.cell("wwl2", k).mean_ns
+        x = report.cell("mixed", k).mean_ns
         ratios.append(w / x)
         print(f"wwl2/mixed mean-time ratio at {k} bits: {w / x:.3f}")
     print(f"wwl2/mixed mean-time ratio, average over sizes: {sum(ratios) / len(ratios):.3f}")

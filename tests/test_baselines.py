@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from normgcd.baselines import (
-    GcdAlgorithmId,
+    ALGORITHMS,
     binary_gcd,
     binary_gcd_steps,
     euclid_gcd,
@@ -15,7 +15,7 @@ from normgcd.baselines import (
 )
 from normgcd.core import ext_gcd
 
-ALGORITHMS = (euclid_gcd, binary_gcd, mixed_euclid_gcd)
+GCDS = (euclid_gcd, binary_gcd, mixed_euclid_gcd)
 STEP_VARIANTS = (
     (euclid_gcd, euclid_gcd_steps),
     (binary_gcd, binary_gcd_steps),
@@ -26,11 +26,10 @@ nonneg = st.integers(0, 2**64)
 
 
 def test_algorithm_ids_are_stable():
-    assert [algo.value for algo in GcdAlgorithmId] == ["euclid", "binary", "mixed", "wwl2"]
-    assert GcdAlgorithmId("binary") is GcdAlgorithmId.BINARY
+    assert list(ALGORITHMS) == ["euclid", "binary", "mixed", "wwl2"]
 
 
-@pytest.mark.parametrize("gcd", ALGORITHMS)
+@pytest.mark.parametrize("gcd", GCDS)
 def test_textbook_cases(gcd):
     assert gcd(48, 18) == 6
     assert gcd(12, 18) == 6
@@ -41,7 +40,7 @@ def test_textbook_cases(gcd):
     assert gcd(1, 10**6 + 1) == 1
 
 
-@pytest.mark.parametrize("gcd", ALGORITHMS)
+@pytest.mark.parametrize("gcd", GCDS)
 def test_equal_and_power_of_two_inputs(gcd):
     assert gcd(64, 64) == 64
     assert gcd(2**20, 2**13) == 2**13
@@ -93,3 +92,11 @@ def test_step_counts_on_known_cases():
     assert euclid_gcd_steps(0, 7) == (7, 0)
     assert binary_gcd_steps(0, 7) == (7, 0)
     assert mixed_euclid_gcd_steps(1, 10**6 + 1) == (1, 0)
+    # the shared power of two rides through the remainder pair into
+    # binary_gcd_steps, which strips it without counting an iteration
+    assert mixed_euclid_gcd_steps(12, 18) == (6, 1)
+    assert mixed_euclid_gcd_steps(3 * 2**10, 5 * 2**10) == (1024, 2)
+    assert mixed_euclid_gcd_steps(2**20, 2**13) == (8192, 0)
+    assert mixed_euclid_gcd_steps(6, 2**256 + 1) == (1, 3)
+    assert mixed_euclid_gcd_steps(7, 7) == (7, 0)
+    assert mixed_euclid_gcd_steps(0, 12) == (12, 0)

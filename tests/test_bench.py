@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from normgcd.baselines import ALGORITHMS, GcdAlgorithmId
+from normgcd.baselines import ALGORITHMS
 from normgcd.bench import (
     BenchCell,
     BenchReport,
@@ -79,9 +79,7 @@ def test_run_benchmark_produces_complete_cells():
     report = run_benchmark(corpus, repetitions=2)
     assert len(report.cells) == 8  # 4 algorithms x 2 sizes
     seen = {(c.algorithm, c.bit_size) for c in report.cells}
-    assert seen == {
-        (algo.value, k) for algo in GcdAlgorithmId for k in (8, 16)
-    }
+    assert seen == {(algo, k) for algo in ALGORITHMS for k in (8, 16)}
     for cell in report.cells:
         assert cell.pairs == 4
         assert cell.repetitions == 2
@@ -114,11 +112,14 @@ def test_run_benchmark_rejects_bad_arguments(kwargs):
 def test_run_benchmark_rejects_empty_corpus():
     with pytest.raises(ValueError):
         run_benchmark(Corpus(1, {}))
+    # one empty size among nonempty ones
+    with pytest.raises(ValueError, match="16: 0"):
+        run_benchmark(Corpus(1, {8: [CorpusPair(3, 5)], 16: []}))
 
 
 def test_disagreement_aborts_with_diagnostics(monkeypatch):
     corpus = generate_corpus(CorpusSpec((8,), 3, seed=10))
-    algo = GcdAlgorithmId.BINARY
+    algo = "binary"
     broken = ALGORITHMS[algo]._replace(steps=lambda a, b: (math.gcd(a, b) + 1, 0))
     monkeypatch.setitem(ALGORITHMS, algo, broken)
     with pytest.raises(GcdDisagreement) as exc:
@@ -135,8 +136,8 @@ def _wwl2_v_off_by_a(a, b):
 @pytest.mark.parametrize(
     "algo,timed",
     [
-        (GcdAlgorithmId.BINARY, lambda a, b: math.gcd(a, b) + 1),
-        (GcdAlgorithmId.WWL2, _wwl2_v_off_by_a),
+        ("binary", lambda a, b: math.gcd(a, b) + 1),
+        ("wwl2", _wwl2_v_off_by_a),
     ],
     ids=["wrong_gcd", "v_out_of_range"],
 )
@@ -145,7 +146,7 @@ def test_wrong_timed_output_aborts(monkeypatch, algo, timed):
     monkeypatch.setitem(ALGORITHMS, algo, ALGORITHMS[algo]._replace(timed=timed))
     with pytest.raises(GcdDisagreement) as exc:
         run_benchmark(corpus)
-    assert algo.value in exc.value.results
+    assert algo in exc.value.results
 
 
 def test_mean_iterations_match_direct_counts():
@@ -154,7 +155,7 @@ def test_mean_iterations_match_direct_counts():
     pairs = corpus.pairs_by_size[12]
     for algo, row in ALGORITHMS.items():
         expected = sum(row.steps(p.a, p.b)[1] for p in pairs) / len(pairs)
-        assert report.cell(algo.value, 12).mean_iterations == expected
+        assert report.cell(algo, 12).mean_iterations == expected
 
 
 # --- report serialization ---------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import normgcd.bench
 import normgcd.oracle
 from normgcd import cli
-from normgcd.baselines import ALGORITHMS, GcdAlgorithmId
+from normgcd.baselines import ALGORITHMS
 from normgcd.bench import CorpusSpec, generate_corpus
 from normgcd.core import ext_gcd
 from normgcd.oracle import Failure, VerificationReport
@@ -237,11 +237,21 @@ def test_uppercase_hex_accepted():
     assert out.stdout == "6\n"
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("extgcd", "--help"), ("bench", "--help")])
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("extgcd", "--help"), ("bench", "--help"), ("gcd", "--help")]
+)
 def test_help_exits_zero(argv):
     out = run_cli(*argv)
     assert out.returncode == 0
     assert "usage:" in out.stdout
+
+
+def test_gcd_help_lists_the_table_names():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+        cli.run(["gcd", "--help"])
+    assert exc.value.code == 0
+    assert "{euclid,binary,mixed,wwl2}" in buf.getvalue()
 
 
 # --- normalizer ----------------------------------------------------------------
@@ -356,7 +366,7 @@ def test_bench_cells_follow_bits_order(monkeypatch, tmp_path):
 
 
 def test_bench_disagreement_exits_1(monkeypatch, capsys, tmp_path):
-    algo = GcdAlgorithmId.BINARY
+    algo = "binary"
     broken = ALGORITHMS[algo]._replace(steps=lambda a, b: (math.gcd(a, b) + 1, 0))
     monkeypatch.setitem(ALGORITHMS, algo, broken)
     out_path = tmp_path / "r.csv"
