@@ -46,30 +46,24 @@ def euclid_gcd_steps(a: int, b: int) -> tuple[int, int]:
 def binary_gcd(a: int, b: int) -> int:
     """gcd by subtraction and halving only, no division.
 
-    The shared power of two comes out first and is restored at the end.
-    Each operand is then stripped to its odd part (halving an even operand
-    is free once the other is odd), so every subtraction in the loop
-    produces an even value and triggers at least one halving; the loop
-    runs O(bits) times.
+    The shared power of two is noted first and restored at the end.  Each
+    operand is stripped to its odd part (halving an even operand is free
+    once the other is odd), so every subtraction in the loop produces an
+    even value; each run of twos comes off in one shift, and the loop runs
+    O(bits) times.
     """
     if a == 0:
         return b
     if b == 0:
         return a
-    m = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        m += 1
-    while a & 1 == 0:
-        a >>= 1
-    while b & 1 == 0:
-        b >>= 1
+    m = ((a | b) & -(a | b)).bit_length() - 1
+    a >>= (a & -a).bit_length() - 1
+    b >>= (b & -b).bit_length() - 1
     r1, r2 = (a, b) if a < b else (b, a)
     while r1 > 0:
         r2 -= r1
-        while r2 != 0 and r2 & 1 == 0:
-            r2 >>= 1
+        if r2:
+            r2 >>= (r2 & -r2).bit_length() - 1
         if r2 < r1:
             r1, r2 = r2, r1
     return r2 << m
@@ -81,21 +75,15 @@ def binary_gcd_steps(a: int, b: int) -> tuple[int, int]:
         return b, 0
     if b == 0:
         return a, 0
-    m = 0
-    while (a | b) & 1 == 0:
-        a >>= 1
-        b >>= 1
-        m += 1
-    while a & 1 == 0:
-        a >>= 1
-    while b & 1 == 0:
-        b >>= 1
+    m = ((a | b) & -(a | b)).bit_length() - 1
+    a >>= (a & -a).bit_length() - 1
+    b >>= (b & -b).bit_length() - 1
     r1, r2 = (a, b) if a < b else (b, a)
     n = 0
     while r1 > 0:
         r2 -= r1
-        while r2 != 0 and r2 & 1 == 0:
-            r2 >>= 1
+        if r2:
+            r2 >>= (r2 & -r2).bit_length() - 1
         if r2 < r1:
             r1, r2 = r2, r1
         n += 1

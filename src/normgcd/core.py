@@ -2,16 +2,15 @@
 
 Every intermediate solution of u*a + v*b = c is kept "normal": its v
 coordinate stays inside [0, a-1].  That pins down a single representative
-per c (unique when gcd(a, b) = 1), bounds the stored values by the inputs
-themselves, and lets the descent replace Euclidean divisions with
-subtractions and halvings.
+per c (unique when gcd(a, b) = 1) and lets the descent replace Euclidean
+divisions with subtractions and halvings.
 
 Since v determines u through u = (c - v*b) / a, the descent runs on the
 pairs (c, v) alone.  One kernel, ``_descent``, serves ``wwl1``, ``wwl2``
-and their ``_trace`` twins, and each recovers u once, by one exact
-division, after the loop.  ``div1`` and ``div2`` are the paper's halving
-steps on (c, v) and on (u, v, c); the kernel inlines the first, and the
-tests check the kernel against both.
+and their ``_trace`` twins; it carries each v as x * 2**-E mod a, puts it
+in [0, a-1] once after the loop, and recovers u by one exact division.
+``div1`` and ``div2`` are the paper's halving steps on (c, v) and on
+(u, v, c), and the tests check the kernel against descents built on both.
 
 ``wwl1`` solves the coprime case, ``wwl2`` any positive pair with odd
 first operand, and ``ext_gcd`` is the total entry point covering signs,
@@ -137,6 +136,21 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
     return NormalState(u, v, c)
 
 
+def _unscale(x: int, e: int, a: int) -> int:
+    """x * 2**-e mod a for odd a >= 1, by one 2-adic Montgomery reduction.
+
+    inv = a^-1 mod 2**e is Newton-lifted from (3*a) ^ 2, right to 5 bits;
+    x + (-x*inv mod 2**e)*a is then 2**e times a value = x * 2**-e mod a.
+    """
+    inv, k = (3 * a) ^ 2, 5
+    while k < e:
+        k <<= 1
+        m = (1 << k) - 1
+        inv = inv * (2 - (a & m) * inv) & m
+    m = (1 << e) - 1
+    return ((x + ((-x * inv) & m) * a) >> e) % a
+
+
 def _descent(
     a: int, b: int, stop: int, trace: list[tuple[int, int]] | None
 ) -> tuple[int, int]:
@@ -145,47 +159,51 @@ def _descent(
     Starts from c = b mod a with v = 1 and c = a - (b mod a) with v = a - 1,
     each halved to its odd part, and keeps c1 <= c2.  Each iteration
     replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
-    odd part; a halving maps v to v/2 when v is even and to (v + a)/2
-    otherwise, which is div1's step.  Runs while c1 > stop and returns the
-    surviving (v, c): (v1, c1) when c1 is nonzero, else (v2, c2).  a = 1
-    needs no special case: c1 = 0 from the start and (0, 1) survives.  When
-    trace is a list, (c1, c2) is appended at loop entry and after every
-    iteration.
+    odd part.  Runs while c1 > stop and returns the surviving (v, c); a
+    trace list gets (c1, c2) at loop entry and after every iteration.
+    Only c decides a branch and v is linear mod a, so v_i is carried as
+    x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
+    shift, x1 takes the 2**t, and the survivor is put in [0, a-1] once.
     """
     r = b % a
-    c1, v1 = r, 1
-    c2, v2 = a - r, a - 1
-    # c1 = 0 when a | b; it must skip the halving loop (0 stays even forever)
-    while c1 and not c1 & 1:
-        c1 >>= 1
-        v1 = (v1 + a) >> 1 if v1 & 1 else v1 >> 1
-    while not c2 & 1:
-        c2 >>= 1
-        v2 = (v2 + a) >> 1 if v2 & 1 else v2 >> 1
+    c1, x1 = r, 1
+    c2, x2 = a - r, -1
+    # a is odd, so at most one seed is even; r = 0 (a | b, or a = 1) stays 0
+    e = 0
+    if r & 1:
+        e = (c2 & -c2).bit_length() - 1
+        c2 >>= e
+        x1 <<= e
+    elif r:
+        e = (r & -r).bit_length() - 1
+        c1 >>= e
+        x2 <<= e
     if c2 < c1:
-        c1, v1, c2, v2 = c2, v2, c1, v1
+        c1, x1, c2, x2 = c2, x2, c1, x1
     if trace is not None:
         trace.append((c1, c2))
     while c1 > stop:
         c2 -= c1
-        v2 = v2 - v1 if v2 >= v1 else v2 - v1 + a
-        while c2 and not c2 & 1:
-            c2 >>= 1
-            v2 = (v2 + a) >> 1 if v2 & 1 else v2 >> 1
+        x2 -= x1
+        if c2:
+            t = (c2 & -c2).bit_length() - 1
+            c2 >>= t
+            x1 <<= t
+            e += t
         if c2 < c1:
-            c1, v1, c2, v2 = c2, v2, c1, v1
+            c1, x1, c2, x2 = c2, x2, c1, x1
         if trace is not None:
             trace.append((c1, c2))
-    return (v1, c1) if c1 else (v2, c2)
+    return (_unscale(x1, e, a), c1) if c1 else (_unscale(x2, e, a), c2)
 
 
 def wwl1(a: int, b: int) -> tuple[int, int]:
     """Solve u*a + v*b = 1 for coprime positive a, b with a odd.
 
-    Returns the unique solution whose v lies in [0, a-1].  The descent
-    tracks only normalized v values, seeded from the residues of b and -b
-    modulo a, and stops when one c reaches 1; u is recovered once at the
-    end as (1 - v*b) / a.
+    Returns the unique solution whose v lies in [0, a-1].  The descent is
+    seeded from the residues of b and -b modulo a and stops when one c
+    reaches 1; v is normalized and u = (1 - v*b) / a recovered once at
+    the end.
     """
     _require_coprime(a, b)
     v, _ = _descent(a, b, 1, None)
@@ -207,9 +225,9 @@ def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
 def wwl2(a: int, b: int) -> BezoutTriple:
     """Extended gcd for positive a, b with a odd: u*a + v*b = g, 0 <= v <= a-1.
 
-    Descends on normalized v values alone, by one subtraction plus a run of
-    halvings per iteration, until one c reaches 0; the other c is
-    g = gcd(a, b), and u is recovered once at the end as (g - v*b) / a.
+    Descends by one subtraction plus a run of halvings per iteration, until
+    one c reaches 0; the other c is g = gcd(a, b).  v is normalized and
+    u = (g - v*b) / a recovered once at the end.
 
     For coprime inputs v is the unique normalizer of 1.  When g > 1, v is
     the normalizer of g that the descent leaves: a | (g - v*b) and v lies

@@ -9,6 +9,7 @@ from normgcd.core import (
     BezoutTriple,
     NormalState,
     NotRepresentableError,
+    _unscale,
     canonical_min_v,
     div1,
     div2,
@@ -304,10 +305,10 @@ def assert_descents_match_reference(a, b):
         assert wwl1(a, b) == pair
 
 
-def _odd_2048_pairs(shared):
-    rng = random.Random(2048 + shared)
-    for _ in range(3):
-        a = rng.getrandbits(2048) | (1 << 2047) | 1
+def _odd_pairs(bits, shared, count):
+    rng = random.Random(bits + shared)
+    for _ in range(count):
+        a = rng.getrandbits(bits) | (1 << bits - 1) | 1
         yield a * shared, rng.randrange(1, a) * shared
 
 
@@ -324,8 +325,11 @@ def _odd_2048_pairs(shared):
         (57795, 34835),
         (9, 6),
         (45, 75),
-        *_odd_2048_pairs(1),
-        *_odd_2048_pairs(105),
+        *_odd_pairs(2048, 1, 3),
+        *_odd_pairs(2048, 105, 3),
+        # Newton lifting of a^-1 mod 2**E runs past 4096 bits here
+        *_odd_pairs(4096, 1, 1),
+        *_odd_pairs(4096, 105, 1),
     ],
 )
 def test_descents_match_reference_fixed_cases(a, b):
@@ -335,6 +339,22 @@ def test_descents_match_reference_fixed_cases(a, b):
 @given(a=odd_positive, b=positive, k=st.integers(0, 50).map(lambda n: 2 * n + 1))
 def test_descents_match_reference_sweep(a, b, k):
     assert_descents_match_reference(a * k, b * k)
+
+
+@st.composite
+def unscale_cases(draw):
+    e = draw(st.integers(0, 6000))
+    a = draw(st.one_of(st.just(1), st.integers(0, 2**4200).map(lambda n: 2 * n + 1)))
+    hi = draw(st.integers(-(2**64), 2**64))
+    x = (hi << e) + draw(st.integers(-(2**64), 2**64))
+    return x, e, a
+
+
+@given(unscale_cases())
+def test_unscale_is_x_times_inverse_power_of_two(case):
+    # the kernel's one reduction, wide x of either sign included
+    x, e, a = case
+    assert _unscale(x, e, a) == x * pow(2, -e, a) % a
 
 
 # --- ext_gcd ----------------------------------------------------------------
