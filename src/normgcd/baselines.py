@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .core import wwl2, wwl2_trace
+from .core import _TRAILING_ZEROS, wwl2, wwl2_trace
 
 __all__ = [
     "ALGORITHMS",
@@ -49,8 +49,9 @@ def binary_gcd(a: int, b: int) -> int:
     The shared power of two is noted first and restored at the end.  Each
     operand is stripped to its odd part (halving an even operand is free
     once the other is odd), so every subtraction in the loop produces an
-    even value; each run of twos comes off in one shift, and the loop runs
-    O(bits) times.
+    even value; each run of twos comes off in one shift, its length read
+    from core's byte table of trailing zeros (the descent kernel's, so the
+    two loops stay like for like), and the loop runs O(bits) times.
     """
     if a == 0:
         return b
@@ -60,10 +61,13 @@ def binary_gcd(a: int, b: int) -> int:
     a >>= (a & -a).bit_length() - 1
     b >>= (b & -b).bit_length() - 1
     r1, r2 = (a, b) if a < b else (b, a)
+    tz = _TRAILING_ZEROS
     while r1 > 0:
         r2 -= r1
-        if r2:
-            r2 >>= (r2 & -r2).bit_length() - 1
+        t = tz[r2 & 255]
+        if not t:
+            t = (r2 & -r2).bit_length() - 1 if r2 else 0
+        r2 >>= t
         if r2 < r1:
             r1, r2 = r2, r1
     return r2 << m
@@ -79,11 +83,14 @@ def binary_gcd_steps(a: int, b: int) -> tuple[int, int]:
     a >>= (a & -a).bit_length() - 1
     b >>= (b & -b).bit_length() - 1
     r1, r2 = (a, b) if a < b else (b, a)
+    tz = _TRAILING_ZEROS
     n = 0
     while r1 > 0:
         r2 -= r1
-        if r2:
-            r2 >>= (r2 & -r2).bit_length() - 1
+        t = tz[r2 & 255]
+        if not t:
+            t = (r2 & -r2).bit_length() - 1 if r2 else 0
+        r2 >>= t
         if r2 < r1:
             r1, r2 = r2, r1
         n += 1

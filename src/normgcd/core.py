@@ -73,6 +73,11 @@ class NotRepresentableError(ValueError):
     """u*a + v*b = c has no integer solution: gcd(a, b) does not divide c."""
 
 
+# trailing zero bits of each byte value; 0 for the zero byte, whose run
+# (8 or more twos, or none left at all) the caller measures itself
+_TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256))
+
+
 def _require_odd_positive(a: int) -> None:
     if a < 1:
         raise ValueError(f"first operand must be positive, got {a}")
@@ -137,18 +142,26 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
 
 
 def _unscale(x: int, e: int, a: int) -> int:
-    """x * 2**-e mod a for odd a >= 1, by one 2-adic Montgomery reduction.
+    """x * 2**-e mod a for odd a >= 1, by word-wise 2-adic Montgomery reduction.
 
-    inv = a^-1 mod 2**e is Newton-lifted from (3*a) ^ 2, right to 5 bits;
-    x + (-x*inv mod 2**e)*a is then 2**e times a value = x * 2**-e mod a.
+    inv = a^-1 mod 2**w, w = min(e, 256), is Newton-lifted from (3*a) ^ 2,
+    right to 5 bits.  Each step takes one word of at most w bits: with
+    m = 2**s - 1, x + (-(x & m)*inv & m)*a is divisible by 2**s and the
+    quotient is x * 2**-s mod a.  ceil(e/256) steps remove all e twos and
+    shrink x to about the size of a; one % a puts it in [0, a-1].
     """
+    w = min(e, 256)
     inv, k = (3 * a) ^ 2, 5
-    while k < e:
+    while k < w:
         k <<= 1
         m = (1 << k) - 1
         inv = inv * (2 - (a & m) * inv) & m
-    m = (1 << e) - 1
-    return ((x + ((-x * inv) & m) * a) >> e) % a
+    while e:
+        s = min(e, w)
+        m = (1 << s) - 1
+        x = (x + ((-(x & m) * inv) & m) * a) >> s
+        e -= s
+    return x % a
 
 
 def _descent(
@@ -164,6 +177,9 @@ def _descent(
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
     shift, x1 takes the 2**t, and the survivor is put in [0, a-1] once.
+    c2 - c1 is even, and its run t is read from the low byte through
+    _TRAILING_ZEROS; only a zero low byte (c2 = 0, or t >= 8, about one
+    iteration in 128) measures the run on the whole of c2.
     """
     r = b % a
     c1, x1 = r, 1
@@ -179,19 +195,23 @@ def _descent(
         c1 >>= e
         x2 <<= e
     if c2 < c1:
-        c1, x1, c2, x2 = c2, x2, c1, x1
+        c1, c2 = c2, c1
+        x1, x2 = x2, x1
     if trace is not None:
         trace.append((c1, c2))
+    tz = _TRAILING_ZEROS
     while c1 > stop:
         c2 -= c1
         x2 -= x1
-        if c2:
-            t = (c2 & -c2).bit_length() - 1
-            c2 >>= t
-            x1 <<= t
-            e += t
+        t = tz[c2 & 255]
+        if not t:
+            t = (c2 & -c2).bit_length() - 1 if c2 else 0
+        c2 >>= t
+        x1 <<= t
+        e += t
         if c2 < c1:
-            c1, x1, c2, x2 = c2, x2, c1, x1
+            c1, c2 = c2, c1
+            x1, x2 = x2, x1
         if trace is not None:
             trace.append((c1, c2))
     return (_unscale(x1, e, a), c1) if c1 else (_unscale(x2, e, a), c2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from normgcd.baselines import binary_gcd_steps
 from normgcd.core import (
     BezoutTriple,
     NormalState,
@@ -327,7 +328,7 @@ def _odd_pairs(bits, shared, count):
         (45, 75),
         *_odd_pairs(2048, 1, 3),
         *_odd_pairs(2048, 105, 3),
-        # Newton lifting of a^-1 mod 2**E runs past 4096 bits here
+        # E is about 5700 here, so _unscale reduces x in 23 words
         *_odd_pairs(4096, 1, 1),
         *_odd_pairs(4096, 105, 1),
     ],
@@ -339,6 +340,52 @@ def test_descents_match_reference_fixed_cases(a, b):
 @given(a=odd_positive, b=positive, k=st.integers(0, 50).map(lambda n: 2 * n + 1))
 def test_descents_match_reference_sweep(a, b, k):
     assert_descents_match_reference(a * k, b * k)
+
+
+def _run_pairs(t, shared):
+    """Pairs whose first loop iteration strips a run of exactly t twos.
+
+    With r and y odd, a = 3r + 2**(t+1)*y and b = r + q*a seed the descent
+    with c1 = r and c2 = (a - r)/2 = r + 2**t*y, so c2 - c1 = 2**t * y.
+    An odd shared factor scales every c and keeps the runs.
+    """
+    rng = random.Random(1000 * t + shared)
+    for r_bits, y_bits in ((3, 1), (400, 300), (1500, 900)):
+        r = rng.getrandbits(r_bits) | 1
+        y = rng.getrandbits(y_bits) | 1
+        a = 3 * r + (y << t + 1)
+        yield a * shared, (r + rng.randrange(3) * a) * shared
+
+
+def _runs(trace):
+    """The run of twos each descent iteration strips, from its (c1, c2) trace."""
+    diffs = (c2 - c1 for c1, c2 in trace[:-1])
+    return [(d & -d).bit_length() - 1 for d in diffs]
+
+
+@pytest.mark.parametrize("t", [7, 8, 9, 64, 300])
+@pytest.mark.parametrize("shared", [1, 105])
+def test_long_runs_of_twos_match_reference(t, shared):
+    # runs of 8 or more twos leave c2's low byte zero, past the byte table
+    for a, b in _run_pairs(t, shared):
+        _, trace = reference_wwl2_trace(a, b)
+        assert t in _runs(trace)
+        assert_descents_match_reference(a, b)
+        # from its loop-entry pair the binary gcd walks the same c path
+        g = math.gcd(a, b)
+        assert binary_gcd_steps(*trace[0]) == (g, len(trace) - 1)
+        assert binary_gcd_steps(a, b)[0] == g
+
+
+@pytest.mark.parametrize("e", [0, 1, 5, 6, 255, 256, 257, 511, 512, 513, 4096])
+def test_unscale_word_boundaries(e):
+    # Newton lifts a^-1 past 5 bits from e = 6, and the reduction takes one
+    # word more at every multiple of 256
+    rng = random.Random(e)
+    for a in (1, 3, 2**256 - 1, 2**256 + 1, rng.getrandbits(2048) | 1 | 2**2047):
+        wide = rng.getrandbits(e + 300) | 1 << e + 299
+        for x in (0, 1, -1, a, -a, wide, -wide, (wide >> 300) ^ 1, -(1 << e)):
+            assert _unscale(x, e, a) == x * pow(2, -e, a) % a
 
 
 @st.composite
