@@ -148,16 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bits",
         type=_bits_list,
-        default=None,
-        help="comma-separated operand bit sizes (default: 16,32,64,256,1024)",
+        default=DEFAULT_BITS,
+        help="comma-separated operand bit sizes "
+        f"(default: {','.join(map(str, DEFAULT_BITS))})",
     )
     p.add_argument(
         "--count",
         type=_positive_int,
         default=None,
-        help="pairs per bit size (default: 10000, 500 above 512 bits)",
+        help=f"pairs per bit size (default: {DEFAULT_PAIRS}, "
+        f"{DEFAULT_PAIRS_LARGE} above {LARGE_BITS_THRESHOLD} bits)",
     )
-    p.add_argument("--seed", type=_seed, default=1, help="corpus seed (default: 1)")
+    p.add_argument(
+        "--seed", type=_seed, default=1, help="corpus seed (default: %(default)s)"
+    )
     p.add_argument(
         "--format",
         choices=("csv", "json"),
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reps",
         type=_positive_int,
         default=1,
-        help="timed repetitions per pair (default: 1)",
+        help="timed repetitions per pair (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_bench)
 
@@ -238,18 +242,17 @@ def _cmd_bench(args) -> int:
         run_benchmark,
     )
 
-    bits = args.bits if args.bits is not None else DEFAULT_BITS
     # sizes that share a pair count are drawn together, each group from a
     # fresh generator seeded with --seed
     by_count: dict[int, list[int]] = {}
-    for k in bits:
+    for k in args.bits:
         default = DEFAULT_PAIRS if k <= LARGE_BITS_THRESHOLD else DEFAULT_PAIRS_LARGE
         by_count.setdefault(args.count or default, []).append(k)
     drawn = {}
     for n, sizes in by_count.items():
         drawn.update(generate_corpus(CorpusSpec(tuple(sizes), n, args.seed)).pairs_by_size)
     # report cells follow --bits, not the groups
-    corpus = Corpus(args.seed, {k: drawn[k] for k in bits})
+    corpus = Corpus(args.seed, {k: drawn[k] for k in args.bits})
 
     try:
         report = run_benchmark(corpus, args.reps)
@@ -265,7 +268,7 @@ def _cmd_bench(args) -> int:
         return EX_DOMAIN
 
     ratios = []
-    for k in bits:
+    for k in args.bits:
         w = report.cell("wwl2", k).mean_ns
         x = report.cell("mixed", k).mean_ns
         ratios.append(w / x)
@@ -296,5 +299,4 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(argv)
+main = run

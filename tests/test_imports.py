@@ -27,6 +27,14 @@ def test_cli_import_loads_only_the_solver():
     assert out.split() == ["normgcd", "normgcd.baselines", "normgcd.cli", "normgcd.core"]
 
 
+def test_bare_import_loads_only_core():
+    out = run_fresh(
+        "import sys, normgcd; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('normgcd'))))"
+    )
+    assert out.split() == ["normgcd", "normgcd.core"]
+
+
 def test_submodules_load_on_attribute_access():
     out = run_fresh(
         "import normgcd; print(normgcd.bench.__name__, normgcd.oracle.__name__)"
@@ -45,8 +53,13 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_lazy_names_are_the_submodules_objects():
-    from normgcd import bench, oracle
+    from normgcd import baselines, bench, core, oracle
 
-    assert normgcd.run_benchmark is bench.run_benchmark
-    assert normgcd.exhaustive_verify is oracle.exhaustive_verify
-    assert {"run_benchmark", "exhaustive_verify"} <= set(dir(normgcd))
+    served = normgcd.__all__
+    assert len(set(served)) == len(served)
+    for module in (core, bench, oracle):
+        assert set(module.__all__) <= set(served), module.__name__
+    for name in served:
+        (home,) = [m for m in (core, baselines, bench, oracle) if name in m.__all__]
+        assert getattr(normgcd, name) is getattr(home, name), name
+    assert set(served) | {"baselines", "bench", "oracle"} <= set(dir(normgcd))
