@@ -6,20 +6,19 @@ per c (unique when gcd(a, b) = 1) and lets the descent replace Euclidean
 divisions with subtractions and halvings.
 
 Since v determines u through u = (c - v*b) / a, the descent runs on the
-pairs (c, v) alone.  One kernel, ``_descent``, serves ``wwl1``, ``wwl2``
-and their ``_trace`` twins; it carries each v as x * 2**-E mod a, puts it
-in [0, a-1] once after the loop, and recovers u by one exact division.
-``div1`` and ``div2`` are the paper's halving steps on (c, v) and on
-(u, v, c), and the tests check the kernel against descents built on both.
+pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
+x * 2**-E mod a, puts it in [0, a-1] once after the loop, and returns
+(u, v, c) with u recovered by one exact division.  ``div1`` and ``div2``
+are the paper's halving steps on (c, v) and on (u, v, c), and the tests
+check the kernel against descents built on both.
 
-``wwl1`` solves the coprime case, ``wwl2`` any positive pair with odd
-first operand, and ``ext_gcd`` is the total entry point covering signs,
-zeros, and pairs with a shared power of two.
+``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
+call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
+zeros and a shared power of two away and calls it directly.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 __all__ = [
@@ -91,13 +90,6 @@ def _require_operands(a: int, b: int) -> None:
         raise ValueError(f"second operand must be positive, got {b}")
 
 
-def _require_coprime(a: int, b: int) -> None:
-    _require_operands(a, b)
-    g = math.gcd(a, b)
-    if g != 1:
-        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {g}")
-
-
 def normalize_solution(a: int, b: int, u: int, v: int) -> NormalState:
     """Shift (u, v) along the solution family until v lands in [0, a-1].
 
@@ -166,17 +158,18 @@ def _unscale(x: int, e: int, a: int) -> int:
 
 def _descent(
     a: int, b: int, stop: int, trace: list[tuple[int, int]] | None
-) -> tuple[int, int]:
+) -> tuple[int, int, int]:
     """The subtract-and-halve descent on normal pairs (c, v); a >= 1 odd, b >= 1.
 
     Starts from c = b mod a with v = 1 and c = a - (b mod a) with v = a - 1,
     each halved to its odd part, and keeps c1 <= c2.  Each iteration
     replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
-    odd part.  Runs while c1 > stop and returns the surviving (v, c); a
-    trace list gets (c1, c2) at loop entry and after every iteration.
+    odd part.  Runs while c1 > stop and returns (u, v, c), c the survivor:
+    gcd(a, b), or 1 when stop = 1 and the pair is coprime.  A trace list
+    gets (c1, c2) at loop entry and after every iteration.
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
-    shift, x1 takes the 2**t, and the survivor is put in [0, a-1] once.
+    shift, x1 takes the 2**t; v is put in [0, a-1] once and gives u.
     c2 - c1 is even, and its run t is read from the low byte through
     _TRAILING_ZEROS; only a zero low byte (c2 = 0, or t >= 8, about one
     iteration in 128) measures the run on the whole of c2.
@@ -214,7 +207,9 @@ def _descent(
             x1, x2 = x2, x1
         if trace is not None:
             trace.append((c1, c2))
-    return (_unscale(x1, e, a), c1) if c1 else (_unscale(x2, e, a), c2)
+    x, c = (x1, c1) if c1 else (x2, c2)
+    v = _unscale(x, e, a)
+    return (c - v * b) // a, v, c
 
 
 def wwl1(a: int, b: int) -> tuple[int, int]:
@@ -222,12 +217,13 @@ def wwl1(a: int, b: int) -> tuple[int, int]:
 
     Returns the unique solution whose v lies in [0, a-1].  The descent is
     seeded from the residues of b and -b modulo a and stops when one c
-    reaches 1; v is normalized and u = (1 - v*b) / a recovered once at
-    the end.
+    reaches 1; a survivor other than 1 is gcd(a, b) and raises ValueError.
     """
-    _require_coprime(a, b)
-    v, _ = _descent(a, b, 1, None)
-    return (1 - v * b) // a, v
+    _require_operands(a, b)
+    u, v, c = _descent(a, b, 1, None)
+    if c != 1:
+        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {c}")
+    return u, v
 
 
 def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
@@ -236,10 +232,12 @@ def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
     The sum c1 + c2 strictly decreases along the returned list and
     gcd(c1, c2) = 1 holds at every index.
     """
-    _require_coprime(a, b)
+    _require_operands(a, b)
     trace: list[tuple[int, int]] = []
-    v, _ = _descent(a, b, 1, trace)
-    return ((1 - v * b) // a, v), trace
+    u, v, c = _descent(a, b, 1, trace)
+    if c != 1:
+        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {c}")
+    return (u, v), trace
 
 
 def wwl2(a: int, b: int) -> BezoutTriple:
@@ -255,8 +253,7 @@ def wwl2(a: int, b: int) -> BezoutTriple:
     canonical_min_v gives the smallest.
     """
     _require_operands(a, b)
-    v, g = _descent(a, b, 0, None)
-    return BezoutTriple((g - v * b) // a, v, g)
+    return BezoutTriple(*_descent(a, b, 0, None))
 
 
 def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
@@ -268,8 +265,7 @@ def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
     """
     _require_operands(a, b)
     trace: list[tuple[int, int]] = []
-    v, g = _descent(a, b, 0, trace)
-    return BezoutTriple((g - v * b) // a, v, g), trace
+    return BezoutTriple(*_descent(a, b, 0, trace)), trace
 
 
 def ext_gcd(a: int, b: int) -> BezoutTriple:
@@ -277,8 +273,9 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
 
     Total function.  Zeros yield the obvious triples, signs are folded into
     the returned coefficients, a shared power of two is split off by bit
-    shifts and restored into g, and an even first operand is handled by
-    swapping the pair through the odd-first solver.
+    shifts and restored into g, and an even first operand is swapped to
+    second place.  The reduced pair meets the kernel's preconditions and
+    is passed to it directly.
     """
     if a == 0 and b == 0:
         return BezoutTriple(0, 0, 0)
@@ -291,12 +288,11 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
     m = low.bit_length() - 1
     x >>= m
     y >>= m
-    if x % 2 == 1:
-        u, v, g = wwl2(x, y)
+    if x & 1:
+        u, v, g = _descent(x, y, 0, None)
     else:
         # y is odd once the shared twos are out
-        uy, vx, g = wwl2(y, x)
-        u, v = vx, uy
+        v, u, g = _descent(y, x, 0, None)
     if a < 0:
         u = -u
     if b < 0:

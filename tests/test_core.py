@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normgcd.baselines import binary_gcd_steps
@@ -161,6 +161,21 @@ def test_wwl1_rejections():
         wwl1(-5, 7)
     with pytest.raises(ValueError):
         wwl1(5, 0)
+    for solve in (wwl1, wwl1_trace):
+        # the gcd named is the survivor of the descent; (9, 27) and (15, 15)
+        # have a | b, so it is the seed a - 0 that never moves
+        for a, b, g in [(9, 6, 3), (9, 27, 9), (15, 15, 15), (57795, 34835, 5)]:
+            message = rf"^operands must be coprime, got gcd\({a}, {b}\) = {g}$"
+            with pytest.raises(ValueError, match=message):
+                solve(a, b)
+        # operand checks come before the descent
+        for a, b, message in [
+            (4, 6, "first operand must be odd, got 4"),
+            (0, 6, "first operand must be positive, got 0"),
+            (9, 0, "second operand must be positive, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                solve(a, b)
 
 
 @given(a=small_odd, b=positive)
@@ -180,6 +195,16 @@ def test_wwl1_trace_descends(a, b):
     sums = [c1 + c2 for c1, c2 in trace]
     assert all(x > y for x, y in zip(sums, sums[1:]))
     assert all(math.gcd(c1, c2) == 1 for c1, c2 in trace)
+
+
+@given(a=odd_positive, b=positive)
+def test_wwl1_is_wwl2_on_coprime_pairs(a, b):
+    g = math.gcd(a, b)
+    if g == 1:
+        assert wwl1(a, b) == tuple(wwl2(a, b))[:2]
+    else:
+        with pytest.raises(ValueError, match=rf"= {g}$"):
+            wwl1(a, b)
 
 
 # --- wwl2 -----------------------------------------------------------------
@@ -419,6 +444,8 @@ def test_ext_gcd_examples():
     assert ext_gcd(-5, 7) == (4, 3, 1)
     u, v, g = ext_gcd(12, 18)
     assert g == 6 and 12 * u + 18 * v == 6
+    assert ext_gcd(240, -46) == (14, 73, 2)  # even first: swap, sign fold
+    assert ext_gcd(18, -12) == (-3, -5, 6)  # shared twos
 
 
 @given(a=big_signed, b=big_signed)
@@ -427,6 +454,49 @@ def test_ext_gcd_total_contract(a, b):
     assert u * a + v * b == g
     assert g == math.gcd(a, b)
     assert g >= 0
+
+
+def _via_wwl2(a, b):
+    """ext_gcd's reduction written out around the public, checked wwl2."""
+    if a == 0 and b == 0:
+        return BezoutTriple(0, 0, 0)
+    if a == 0:
+        return BezoutTriple(0, 1 if b > 0 else -1, abs(b))
+    if b == 0:
+        return BezoutTriple(1 if a > 0 else -1, 0, abs(a))
+    x, y, m = abs(a), abs(b), 0
+    while x % 2 == 0 and y % 2 == 0:
+        x, y, m = x // 2, y // 2, m + 1
+    if x % 2 == 1:
+        u, v, g = wwl2(x, y)
+    else:
+        v, u, g = wwl2(y, x)
+    return BezoutTriple(-u if a < 0 else u, -v if b < 0 else v, g << m)
+
+
+@st.composite
+def ext_gcd_shapes(draw):
+    """Signed pairs with zeros, shared twos 2^0..2^12, shared odd factors
+    and an even first operand after the shared twos are out."""
+    a = draw(st.one_of(st.just(0), signed))
+    b = draw(st.one_of(st.just(0), signed))
+    a <<= draw(st.integers(0, 3))  # extra twos on a give the even-first swap
+    k = draw(st.sampled_from([1, 3, 5, 15, 105])) << draw(st.integers(0, 12))
+    return a * k, b * k
+
+
+@given(ext_gcd_shapes())
+@example((240, -46))
+@example((18, -12))
+@example((-12, 18))
+@example((0, -7))
+@example((-7, 0))
+def test_ext_gcd_is_wwl2_behind_its_reduction(pair):
+    # pins the exact representative on every path, not only the identity
+    a, b = pair
+    t = ext_gcd(a, b)
+    assert type(t) is BezoutTriple
+    assert t == _via_wwl2(a, b)
 
 
 @given(a=positive, b=positive)
