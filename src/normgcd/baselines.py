@@ -9,9 +9,7 @@ takes and the reports print, with the normalized solver "wwl2" as its
 fourth row; the benchmark and the CLI both look algorithms up in it.
 """
 
-from __future__ import annotations
-
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .core import _TRAILING_ZEROS, wwl2, wwl2_trace
 
@@ -126,15 +124,12 @@ def _wwl2_steps(a: int, b: int) -> tuple[int, int]:
     return triple.g, len(trace) - 1
 
 
-class Algorithm(NamedTuple):
-    """One row of ALGORITHMS.
+Algorithm = namedtuple("Algorithm", "timed steps")
+Algorithm.__doc__ = """One row of ALGORITHMS.
 
-    ``timed`` is the function the benchmark times; ``steps`` returns
-    (gcd, main-loop iterations) for the same pair.
-    """
-
-    timed: Callable[[int, int], object]
-    steps: Callable[[int, int], tuple[int, int]]
+``timed`` is the function the benchmark times; ``steps`` returns
+(gcd, main-loop iterations) for the same pair.
+"""
 
 
 # wwl2 is timed as the full extended solver, which is the comparison of

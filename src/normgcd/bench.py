@@ -12,8 +12,6 @@ CSV or JSON; the fields of ``BenchCell`` are the one schema of a cell in
 both.
 """
 
-from __future__ import annotations
-
 import json
 import platform
 import random

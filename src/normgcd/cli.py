@@ -11,12 +11,9 @@ the oracle and ``bench`` the benchmark harness when they run, so a one-shot
 ``extgcd`` does not pay for either.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys
-from typing import Optional, Sequence
 
 from .baselines import ALGORITHMS
 from .core import NotRepresentableError, canonical_min_v, ext_gcd, normalizer_of
@@ -278,7 +275,7 @@ def _cmd_bench(args) -> int:
     return EX_OK
 
 
-def run(argv: Optional[Sequence[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     # Integers of any length must parse and print, so the int/str digit limit
     # (CPython 3.11, and 3.10 from 3.10.7) is lifted for this run only.
     get_limit = getattr(sys, "get_int_max_str_digits", None)

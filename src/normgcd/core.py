@@ -17,9 +17,7 @@ call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
 zeros and a shared power of two away and calls it directly.
 """
 
-from __future__ import annotations
-
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "BezoutTriple",
@@ -39,33 +37,24 @@ __all__ = [
 ]
 
 
-class BezoutTriple(NamedTuple):
-    """Solution (u, v, g) of u*a + v*b = g = gcd(a, b) for some pair (a, b)."""
+BezoutTriple = namedtuple("BezoutTriple", "u v g")
+BezoutTriple.__doc__ = (
+    "Solution (u, v, g) of u*a + v*b = g = gcd(a, b) for some pair (a, b)."
+)
 
-    u: int
-    v: int
-    g: int
+NormalState = namedtuple("NormalState", "u v c")
+NormalState.__doc__ = (
+    "A solution (u, v) of u*a + v*b = c with v normalized into [0, a-1]."
+)
 
+Normalizer = namedtuple("Normalizer", "value conormalizer")
+Normalizer.__doc__ = """The two distinguished residues attached to u*a + v*b = c.
 
-class NormalState(NamedTuple):
-    """A solution (u, v) of u*a + v*b = c with v normalized into [0, a-1]."""
-
-    u: int
-    v: int
-    c: int
-
-
-class Normalizer(NamedTuple):
-    """The two distinguished residues attached to u*a + v*b = c.
-
-    ``value`` is a v in [0, a-1] with a | (c - v*b), unique when
-    gcd(a, b) = 1.  ``conormalizer`` is the t in [0, a-1] such that
-    (x, -t) solves the same equation for some integer x, i.e.
-    a | (c + t*b).
-    """
-
-    value: int
-    conormalizer: int
+``value`` is a v in [0, a-1] with a | (c - v*b), unique when
+gcd(a, b) = 1.  ``conormalizer`` is the t in [0, a-1] such that
+(x, -t) solves the same equation for some integer x, i.e.
+a | (c + t*b).
+"""
 
 
 class NotRepresentableError(ValueError):
@@ -275,7 +264,9 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
     the returned coefficients, a shared power of two is split off by bit
     shifts and restored into g, and an even first operand is swapped to
     second place.  The reduced pair meets the kernel's preconditions and
-    is passed to it directly.
+    is passed to it directly.  For positive a and b, with m the shared
+    twos, v lies in [0, (a >> m) - 1] when a >> m is odd; otherwise u
+    lies in [0, (b >> m) - 1].
     """
     if a == 0 and b == 0:
         return BezoutTriple(0, 0, 0)

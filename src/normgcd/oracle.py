@@ -6,11 +6,9 @@ identity and ``brute_normalizer`` scans the whole residue range, so
 agreement with the main solver is evidence rather than tautology.
 """
 
-from __future__ import annotations
-
 import time
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 from .core import BezoutTriple, ext_gcd, wwl1
 
@@ -23,14 +21,8 @@ __all__ = [
 ]
 
 
-class Failure(NamedTuple):
-    """One failed check: the input pair, the c involved, and both sides."""
-
-    a: int
-    b: int
-    c: int
-    expected: object
-    actual: object
+Failure = namedtuple("Failure", "a b c expected actual")
+Failure.__doc__ = "One failed check: the input pair, the c involved, and both sides."
 
 
 @dataclass
@@ -50,7 +42,7 @@ class VerificationReport:
         return f"{state}: {self.cases_checked} cases checked in {self.elapsed:.2f}s"
 
 
-def brute_normalizer(a: int, b: int, c: int) -> Optional[int]:
+def brute_normalizer(a: int, b: int, c: int) -> int | None:
     """Smallest v in [0, a-1] with a | (c - v*b), or None when no v works.
 
     Exhaustive scan; the match is unique when gcd(a, b) = 1, and None
@@ -90,9 +82,11 @@ def exhaustive_verify(limit: int = 300) -> VerificationReport:
     """Check every pair 1 <= a, b <= limit against the references.
 
     Per pair: the Bezout identity of ext_gcd, gcd agreement with
-    reference_ext_gcd, the v range whenever the first operand's odd part
-    leads the computation, and, for coprime pairs with odd a, equality of
-    wwl1's v with the exhaustive-search normalizer of 1.
+    reference_ext_gcd, the range of the normalized coordinate, and, for
+    coprime pairs with odd a, equality of wwl1's v with the
+    exhaustive-search normalizer of 1.  With m the shared twos of a and
+    b, v lies in [0, (a >> m) - 1] when a >> m is odd; otherwise ext_gcd
+    swaps the operands and u lies in [0, (b >> m) - 1].
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -108,9 +102,12 @@ def exhaustive_verify(limit: int = 300) -> VerificationReport:
             if g != ref_g:
                 failures.append(Failure(a, b, ref_g, ref_g, g))
             low = (a | b) & -(a | b)
-            a_stripped = a // low
-            if a_stripped % 2 == 1 and not 0 <= v < a_stripped:
-                failures.append(Failure(a, b, g, f"v in [0, {a_stripped - 1}]", v))
+            a_stripped, b_stripped = a // low, b // low
+            if a_stripped % 2 == 1:
+                if not 0 <= v < a_stripped:
+                    failures.append(Failure(a, b, g, f"v in [0, {a_stripped - 1}]", v))
+            elif not 0 <= u < b_stripped:
+                failures.append(Failure(a, b, g, f"u in [0, {b_stripped - 1}]", u))
             if a_odd and ref_g == 1:
                 expected = brute_normalizer(a, b, 1)
                 actual = wwl1(a, b)[1]

@@ -19,6 +19,32 @@ def run_fresh(code: str) -> str:
     return out.stdout
 
 
+def run_no_site(code: str) -> str:
+    # -S: no site, so nothing but the package itself can load typing
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+    )
+    return out.stdout
+
+
+@pytest.mark.parametrize(
+    "code, printed",
+    [
+        ("import normgcd", []),
+        ("import normgcd.cli; normgcd.cli.run(['extgcd', '240', '-46'])", ["14 73 2"]),
+    ],
+    ids=["import", "cli-extgcd"],
+)
+def test_clean_start_loads_no_typing(code, printed):
+    probe = "; import sys; print(sorted({'typing', '__future__'} & set(sys.modules)))"
+    out = run_no_site(code + probe)
+    assert out.splitlines() == printed + ["[]"]
+
+
 def test_cli_import_loads_only_the_solver():
     out = run_fresh(
         "import sys, normgcd.cli; "

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import normgcd.oracle
+from normgcd.core import BezoutTriple, ext_gcd
 from normgcd.oracle import (
     Failure,
     VerificationReport,
@@ -76,3 +78,21 @@ def test_report_fails_iff_failures_present():
     bad = VerificationReport(3, [Failure(2, 2, 2, 2, 3)], 0.0)
     assert not bad.passed
     assert "FAIL" in bad.summary()
+
+
+def test_exhaustive_verify_checks_u_on_the_swap_path(monkeypatch):
+    # Moving the swapped solution one step along its family, (u, v) ->
+    # (u + b', v - a') with the shared twos m out (a' = a >> m, b' = b >> m),
+    # keeps u*a + v*b = g and every gcd; only u's range [0, b' - 1] shows it.
+    def shifted(a, b):
+        u, v, g = ext_gcd(a, b)
+        low = (a | b) & -(a | b)
+        if a // low % 2 == 0:
+            u, v = u + b // low, v - a // low
+        return BezoutTriple(u, v, g)
+
+    monkeypatch.setattr(normgcd.oracle, "ext_gcd", shifted)
+    report = exhaustive_verify(60)
+    assert not report.passed
+    assert all(f.expected.startswith("u in [0, ") for f in report.failures)
+    assert Failure(2, 1, 1, "u in [0, 0]", 1) in report.failures
