@@ -17,7 +17,7 @@ import platform
 import random
 import statistics
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from collections import namedtuple
 
 from .baselines import ALGORITHMS
 
@@ -34,29 +34,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """What to generate: operand bit sizes, pairs per size, RNG seed."""
+CorpusSpec = namedtuple("CorpusSpec", "bit_sizes pairs_per_size seed")
+CorpusSpec.__doc__ = "What to generate: operand bit sizes, pairs per size, RNG seed."
 
-    bit_sizes: tuple[int, ...]
-    pairs_per_size: int
-    seed: int
+CorpusPair = namedtuple("CorpusPair", "a b")
+CorpusPair.__doc__ = "One workload pair; ``a`` is odd, so every algorithm takes it."
 
-
-@dataclass(frozen=True)
-class CorpusPair:
-    """One workload pair; ``a`` is odd, so every algorithm takes it."""
-
-    a: int
-    b: int
-
-
-@dataclass
-class Corpus:
-    """Generated pairs grouped by bit size, in spec order."""
-
-    seed: int
-    pairs_by_size: dict[int, list[CorpusPair]]
+Corpus = namedtuple("Corpus", "seed pairs_by_size")
+Corpus.__doc__ = "Generated pairs grouped by bit size, in spec order."
 
 
 class GcdDisagreement(RuntimeError):
@@ -72,33 +57,22 @@ class GcdDisagreement(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class BenchCell:
-    """Aggregated timing for one (algorithm, bit size) combination.
+BenchCell = namedtuple(
+    "BenchCell",
+    "algorithm bit_size pairs repetitions total_ns mean_ns median_ns mean_iterations",
+)
+BenchCell.__doc__ = """Aggregated timing for one (algorithm, bit size) combination.
 
-    The fields, in this order, are the CSV columns and the JSON cell keys.
-    """
+The fields, in this order, are the CSV columns and the JSON cell keys.
+"""
 
-    algorithm: str
-    bit_size: int
-    pairs: int
-    repetitions: int
-    total_ns: int
-    mean_ns: int
-    median_ns: int
-    mean_iterations: float
+CSV_COLUMNS = BenchCell._fields
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(BenchCell))
-
-
-@dataclass
-class BenchReport:
+class BenchReport(namedtuple("BenchReport", "seed environment cells")):
     """All cells of one run plus the corpus seed and an environment note."""
 
-    seed: int
-    environment: str
-    cells: list[BenchCell]
+    __slots__ = ()
 
     def cell(self, algorithm: str, bit_size: int) -> BenchCell:
         for c in self.cells:
@@ -228,13 +202,13 @@ def emit_report(report: BenchReport, fmt: str) -> bytes:
     one object per cell with the same fields, in the same order.
     """
     if fmt == "csv":
-        rows = [CSV_COLUMNS, *map(astuple, report.cells)]
+        rows = [CSV_COLUMNS, *report.cells]
         return "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
     if fmt == "json":
         doc = {
             "seed": report.seed,
             "environment": report.environment,
-            "cells": [asdict(c) for c in report.cells],
+            "cells": [c._asdict() for c in report.cells],
         }
         return (json.dumps(doc, indent=2) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}")

@@ -125,14 +125,15 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
 def _unscale(x: int, e: int, a: int) -> int:
     """x * 2**-e mod a for odd a >= 1, by word-wise 2-adic Montgomery reduction.
 
-    inv = a^-1 mod 2**w, w = min(e, 256), is Newton-lifted from (3*a) ^ 2,
-    right to 5 bits.  Each step takes one word of at most w bits: with
-    m = 2**s - 1, x + (-(x & m)*inv & m)*a is divisible by 2**s and the
-    quotient is x * 2**-s mod a.  ceil(e/256) steps remove all e twos and
+    inv = a^-1 mod 2**w, w = min(e, 256), is Newton-lifted from
+    (3*a & 31) ^ 2, right to 5 bits whatever the higher bits of a.  Each
+    step takes one word of at most w bits: with m = 2**s - 1,
+    x + (-(x & m)*inv & m)*a is divisible by 2**s and the quotient is
+    x * 2**-s mod a.  ceil(e/256) steps remove all e twos and
     shrink x to about the size of a; one % a puts it in [0, a-1].
     """
     w = min(e, 256)
-    inv, k = (3 * a) ^ 2, 5
+    inv, k = (3 * a & 31) ^ 2, 5
     while k < w:
         k <<= 1
         m = (1 << k) - 1

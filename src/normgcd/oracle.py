@@ -8,7 +8,6 @@ agreement with the main solver is evidence rather than tautology.
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .core import BezoutTriple, ext_gcd, wwl1
 
@@ -25,13 +24,10 @@ Failure = namedtuple("Failure", "a b c expected actual")
 Failure.__doc__ = "One failed check: the input pair, the c involved, and both sides."
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple("VerificationReport", "cases_checked failures elapsed")):
     """Outcome of a verification sweep; passes iff ``failures`` is empty."""
 
-    cases_checked: int
-    failures: list[Failure]
-    elapsed: float
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

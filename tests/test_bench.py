@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import asdict, astuple
 from pathlib import Path
 
 import pytest
@@ -180,7 +179,7 @@ def test_csv_round_trip():
     header, *rows = emit_report(report, "csv").decode().splitlines()
     assert header == ",".join(bench_module.CSV_COLUMNS)
     assert [row.split(",") for row in rows] == [
-        [str(x) for x in astuple(c)] for c in report.cells
+        [str(x) for x in tuple(c)] for c in report.cells
     ]
 
 
@@ -190,7 +189,7 @@ def test_json_round_trip():
     assert list(doc) == ["seed", "environment", "cells"]
     assert doc["seed"] == report.seed
     assert doc["environment"] == report.environment
-    assert doc["cells"] == [asdict(c) for c in report.cells]
+    assert doc["cells"] == [c._asdict() for c in report.cells]
 
 
 def test_emit_rejects_unknown_format():

@@ -407,7 +407,14 @@ def test_unscale_word_boundaries(e):
     # Newton lifts a^-1 past 5 bits from e = 6, and the reduction takes one
     # word more at every multiple of 256
     rng = random.Random(e)
-    for a in (1, 3, 2**256 - 1, 2**256 + 1, rng.getrandbits(2048) | 1 | 2**2047):
+    for a in (
+        1,
+        3,
+        2**256 - 1,
+        2**256 + 1,
+        rng.getrandbits(2048) | 1 | 2**2047,
+        rng.getrandbits(8192) | 1 | 2**8191,
+    ):
         wide = rng.getrandbits(e + 300) | 1 << e + 299
         for x in (0, 1, -1, a, -a, wide, -wide, (wide >> 300) ^ 1, -(1 << e)):
             assert _unscale(x, e, a) == x * pow(2, -e, a) % a

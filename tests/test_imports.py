@@ -36,11 +36,15 @@ def run_no_site(code: str) -> str:
     [
         ("import normgcd", []),
         ("import normgcd.cli; normgcd.cli.run(['extgcd', '240', '-46'])", ["14 73 2"]),
+        ("import normgcd.bench, normgcd.oracle", []),
     ],
-    ids=["import", "cli-extgcd"],
+    ids=["import", "cli-extgcd", "bench-oracle"],
 )
 def test_clean_start_loads_no_typing(code, printed):
-    probe = "; import sys; print(sorted({'typing', '__future__'} & set(sys.modules)))"
+    probe = (
+        "; import sys; "
+        "print(sorted({'typing', '__future__', 'dataclasses'} & set(sys.modules)))"
+    )
     out = run_no_site(code + probe)
     assert out.splitlines() == printed + ["[]"]
 
