@@ -2,66 +2,16 @@
 
 The solvers return the solution of u*a + v*b = gcd(a, b) whose v lies in
 [0, a-1], descending by subtractions and halvings instead of Euclidean
-divisions.  The package also ships the three classic gcd algorithms as
-baselines, brute-force verification sweeps, and a seeded benchmark
-harness with CSV/JSON reporting.
+divisions.
 
-``import normgcd`` loads only the solver (``core``), whose names it
-republishes.  The names from ``baselines``, ``bench`` and ``oracle`` are
-served on first use, so a one-shot solve pays for none of them.
+``import normgcd`` loads only the solver (``core``) and republishes its
+names.  The harness lives in its own modules and is imported from there:
+the three classic gcd algorithms in ``normgcd.baselines``, the seeded
+benchmark with CSV/JSON reporting in ``normgcd.bench``, and the
+brute-force verification sweeps in ``normgcd.oracle``.
 """
 
-import importlib
-
-from . import core
 from .core import *
+from .core import __all__
 
 __version__ = "0.1.0"
-
-# submodule -> the names served from it, imported on first attribute access
-_LAZY = {
-    "baselines": (
-        "binary_gcd",
-        "binary_gcd_steps",
-        "euclid_gcd",
-        "euclid_gcd_steps",
-        "mixed_euclid_gcd",
-        "mixed_euclid_gcd_steps",
-    ),
-    "bench": (
-        "BenchCell",
-        "BenchReport",
-        "Corpus",
-        "CorpusPair",
-        "CorpusSpec",
-        "GcdDisagreement",
-        "emit_report",
-        "generate_corpus",
-        "run_benchmark",
-    ),
-    "oracle": (
-        "Failure",
-        "VerificationReport",
-        "brute_normalizer",
-        "exhaustive_verify",
-        "reference_ext_gcd",
-    ),
-}
-# each lazy name, and each submodule's own name, -> its submodule
-_HOME = {name: sub for sub, names in _LAZY.items() for name in (sub, *names)}
-
-__all__ = sorted([*core.__all__, *(name for names in _LAZY.values() for name in names)])
-
-
-def __getattr__(name):
-    submodule = _HOME.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{submodule}")
-    value = module if name == submodule else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_HOME))

@@ -101,21 +101,17 @@ def mixed_euclid_gcd(a: int, b: int) -> int:
     binary_gcd strips and restores the shared power of two of the
     remainder pair, which is that of (a, b).
     """
-    if a == 0:
-        return b
-    if b == 0:
-        return a
     r1, r2 = (a, b) if a < b else (b, a)
+    if r1 == 0:
+        return r2
     return binary_gcd(r2 % r1, r1)
 
 
 def mixed_euclid_gcd_steps(a: int, b: int) -> tuple[int, int]:
     """mixed_euclid_gcd plus the subtract-and-halve count of its binary phase."""
-    if a == 0:
-        return b, 0
-    if b == 0:
-        return a, 0
     r1, r2 = (a, b) if a < b else (b, a)
+    if r1 == 0:
+        return r2, 0
     return binary_gcd_steps(r2 % r1, r1)
 
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import normgcd
+from normgcd import baselines, bench, core, oracle
 
+MODULES = (core, baselines, bench, oracle)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -43,7 +45,7 @@ def run_no_site(code: str) -> str:
 def test_clean_start_loads_no_typing(code, printed):
     probe = (
         "; import sys; "
-        "print(sorted({'typing', '__future__', 'dataclasses'} & set(sys.modules)))"
+        "print(sorted({'typing', '__future__', 'dataclasses', 'importlib'} & set(sys.modules)))"
     )
     out = run_no_site(code + probe)
     assert out.splitlines() == printed + ["[]"]
@@ -65,16 +67,10 @@ def test_bare_import_loads_only_core():
     assert out.split() == ["normgcd", "normgcd.core"]
 
 
-def test_submodules_load_on_attribute_access():
-    out = run_fresh(
-        "import normgcd; print(normgcd.bench.__name__, normgcd.oracle.__name__)"
-    )
-    assert out.split() == ["normgcd.bench", "normgcd.oracle"]
-
-
-@pytest.mark.parametrize("name", normgcd.__all__)
+@pytest.mark.parametrize("name", [n for m in MODULES for n in m.__all__])
 def test_every_public_name_resolves(name):
-    assert getattr(normgcd, name) is not None
+    (home,) = [m for m in MODULES if name in m.__all__]
+    assert getattr(home, name) is not None
 
 
 def test_unknown_name_raises_attribute_error():
@@ -82,14 +78,30 @@ def test_unknown_name_raises_attribute_error():
         normgcd.no_such_name
 
 
-def test_lazy_names_are_the_submodules_objects():
-    from normgcd import baselines, bench, core, oracle
+def test_package_surface_is_the_solver():
+    assert normgcd.__all__ == core.__all__
+    for name in normgcd.__all__:
+        assert getattr(normgcd, name) is getattr(core, name), name
 
-    served = normgcd.__all__
-    assert len(set(served)) == len(served)
-    for module in (core, bench, oracle):
-        assert set(module.__all__) <= set(served), module.__name__
-    for name in served:
-        (home,) = [m for m in (core, baselines, bench, oracle) if name in m.__all__]
-        assert getattr(normgcd, name) is getattr(home, name), name
-    assert set(served) | {"baselines", "bench", "oracle"} <= set(dir(normgcd))
+
+# harness names that `import normgcd` must not serve: each has one import
+# path, its own module
+HARNESS_NAMES = {
+    baselines: "binary_gcd binary_gcd_steps euclid_gcd euclid_gcd_steps"
+    " mixed_euclid_gcd mixed_euclid_gcd_steps",
+    bench: "BenchCell BenchReport Corpus CorpusPair CorpusSpec GcdDisagreement"
+    " emit_report generate_corpus run_benchmark",
+    oracle: "Failure VerificationReport brute_normalizer exhaustive_verify"
+    " reference_ext_gcd",
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(m, n) for m, names in HARNESS_NAMES.items() for n in names.split()],
+    ids=lambda x: getattr(x, "__name__", x).rpartition(".")[2],
+)
+def test_harness_names_live_in_their_module(module, name):
+    assert name in module.__all__
+    assert getattr(module, name) is not None
+    assert not hasattr(normgcd, name)
