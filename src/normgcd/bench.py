@@ -4,15 +4,15 @@ Corpus generation is a pure function of its spec: same spec, same pairs,
 bit for bit.  Each k-bit operand lies in [2^(k-1), 2^k), and the first of
 a pair is odd (its low bit is set), so every algorithm takes every pair.
 Each run covers all four algorithms of the one table
-``baselines.ALGORITHMS``.  The harness first sweeps every pair through every
-``steps`` function to force gcd agreement (and collect loop-iteration
-counts), then times the ``timed`` functions single-threaded, per pair,
-and checks their outputs outside the timed region.  Reports serialize to
-CSV or JSON; the fields of ``BenchCell`` are the one schema of a cell in
-both.
+``baselines.ALGORITHMS`` in one pass: per (algorithm, bit size) cell and
+per pair, the ``steps`` function counts loop iterations and the ``timed``
+function is timed single-threaded, and both outputs are checked against
+``math.gcd`` outside the timed region.  Reports serialize to CSV or JSON;
+the fields of ``BenchCell`` are the one schema of a cell in both.
 """
 
 import json
+import math
 import platform
 import random
 import statistics
@@ -45,8 +45,8 @@ Corpus.__doc__ = "Generated pairs grouped by bit size, in spec order."
 
 
 class GcdDisagreement(RuntimeError):
-    """Two algorithms returned different gcds for the same pair, or a timed
-    function's output failed its check against the agreed gcd."""
+    """An algorithm's gcd for a pair was not ``math.gcd``, or a timed
+    function's output failed its check against it."""
 
     def __init__(self, bit_size: int, pair: CorpusPair, results: dict[str, object]):
         self.bit_size = bit_size
@@ -119,13 +119,13 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     """Time every algorithm of ``ALGORITHMS`` on every corpus pair.
 
-    A validation sweep runs first: each algorithm's ``steps`` gcd on each
-    pair, with any disagreement raising GcdDisagreement before anything is
-    timed; the sweep also collects mean loop-iteration counts.  Timing is
-    then per pair, single-threaded, with one warm-up call per pair outside
-    the timed region.  The warm-up output is checked: its gcd must be the
-    agreed one and, for wwl2, u*a + v*b = g with 0 <= v < a must hold;
-    a mismatch raises GcdDisagreement.
+    One pass over (algorithm, bit size) cells.  For each pair, outside the
+    timed region: ``math.gcd`` gives the reference g; the ``steps`` gcd must
+    equal g, and its loop-iteration count goes into the cell's mean; one
+    warm-up call's output must have gcd g and, for wwl2, satisfy
+    u*a + v*b = g with 0 <= v < a.  A mismatch raises GcdDisagreement, so
+    cells before it may already have been timed.  Then the ``repetitions``
+    timed calls run, single-threaded.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -133,32 +133,21 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     if not sizes or 0 in sizes.values():
         raise ValueError(f"corpus needs pairs at every bit size, got {sizes}")
 
-    mean_steps: dict[tuple[str, int], float] = {}
-    agreed: dict[int, list[int]] = {}
-    for k, pairs in corpus.pairs_by_size.items():
-        step_sums = dict.fromkeys(ALGORITHMS, 0)
-        agreed[k] = []
-        for pair in pairs:
-            gcds: dict[str, int] = {}
-            for algo, row in ALGORITHMS.items():
-                g, n = row.steps(pair.a, pair.b)
-                gcds[algo] = g
-                step_sums[algo] += n
-            if len(set(gcds.values())) > 1:
-                raise GcdDisagreement(k, pair, gcds)
-            agreed[k].append(g)
-        for algo in ALGORITHMS:
-            mean_steps[algo, k] = step_sums[algo] / len(pairs)
-
     cells = []
-    for algo, (fn, _) in ALGORITHMS.items():
+    for algo, (fn, steps) in ALGORITHMS.items():
         for k, pairs in corpus.pairs_by_size.items():
             per_pair_ns = []
-            for pair, g in zip(pairs, agreed[k]):
+            iterations = 0
+            for pair in pairs:
                 pa, pb = pair.a, pair.b
+                g = math.gcd(pa, pb)
+                h, n = steps(pa, pb)
+                if h != g:
+                    raise GcdDisagreement(k, pair, {algo: h, "gcd": g})
+                iterations += n
                 out = fn(pa, pb)  # warm-up: checked, not timed
                 if not _timed_output_ok(algo, pa, pb, out, g):
-                    raise GcdDisagreement(k, pair, {algo: out, "agreed": g})
+                    raise GcdDisagreement(k, pair, {algo: out, "gcd": g})
                 t0 = time.perf_counter_ns()
                 for _ in range(repetitions):
                     fn(pa, pb)
@@ -174,7 +163,7 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
                     total_ns=total,
                     mean_ns=round(total / calls),
                     median_ns=round(statistics.median(per_pair_ns) / repetitions),
-                    mean_iterations=mean_steps[algo, k],
+                    mean_iterations=iterations / len(pairs),
                 )
             )
     return BenchReport(corpus.seed, _environment_note(), cells)

@@ -127,6 +127,21 @@ def test_disagreement_aborts_with_diagnostics(monkeypatch):
     assert "binary" in exc.value.results
 
 
+def test_common_wrong_gcd_aborts(monkeypatch):
+    # a table whose rows all return the same wrong gcd agrees with itself;
+    # math.gcd is the reference that catches it
+    corpus = generate_corpus(CorpusSpec((8,), 3, seed=10))
+    plus_one = ALGORITHMS["binary"]._replace(
+        timed=lambda a, b: math.gcd(a, b) + 1,
+        steps=lambda a, b: (math.gcd(a, b) + 1, 0),
+    )
+    monkeypatch.setattr(bench_module, "ALGORITHMS", {"plus_one": plus_one})
+    with pytest.raises(GcdDisagreement) as exc:
+        run_benchmark(corpus)
+    assert exc.value.bit_size == 8
+    assert "plus_one" in exc.value.results
+
+
 def _wwl2_v_off_by_a(a, b):
     u, v, g = wwl2(a, b)
     return u - b, v + a, g  # still solves the pair, but v is out of range
