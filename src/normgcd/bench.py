@@ -122,10 +122,10 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     One pass over (algorithm, bit size) cells.  For each pair, outside the
     timed region: ``math.gcd`` gives the reference g; the ``steps`` gcd must
     equal g, and its loop-iteration count goes into the cell's mean; one
-    warm-up call's output must have gcd g and, for wwl2, satisfy
-    u*a + v*b = g with 0 <= v < a.  A mismatch raises GcdDisagreement, so
-    cells before it may already have been timed.  Then the ``repetitions``
-    timed calls run, single-threaded.
+    warm-up call's output must have gcd g and, for wwl2, be a tuple (u, v, g)
+    with u*a + v*b = g and 0 <= v < a.  A mismatch raises GcdDisagreement,
+    so cells before it may already have been timed.  Then the
+    ``repetitions`` timed calls run, single-threaded.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -170,10 +170,12 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
 
 
 def _timed_output_ok(algo: str, a: int, b: int, out: object, g: int) -> bool:
-    if algo == "wwl2":
-        u, v, h = out
-        return h == g and u * a + v * b == g and 0 <= v < a
-    return out == g
+    if algo != "wwl2":
+        return out == g
+    if not isinstance(out, tuple) or len(out) != 3:
+        return False
+    u, v, h = out
+    return h == g and u * a + v * b == g and 0 <= v < a
 
 
 def _environment_note() -> str:

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification or agreement failure, 2 domain
 errors (unsolvable instances, bad values, unwritable output), 64 usage
 errors.  Integer arguments accept ASCII decimal or 0x-prefixed hex of any
-length, with an optional leading sign; count, seed and bit-size options
-accept ASCII decimal only.
+length, with an optional leading sign; option values (counts, seed, bit
+sizes) take the same grammar without the hex form.
 
 Only ``core`` and ``baselines`` load with this module.  ``verify`` imports
 the oracle and ``bench`` the benchmark harness when they run, so a one-shot
@@ -30,7 +30,6 @@ LARGE_BITS_THRESHOLD = 512
 
 # ASCII only: int() alone would also take "1_000", "0x_1f" and non-ASCII digits
 _INTEGER = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,10 +56,9 @@ def _bigint(text: str) -> int:
 
 
 def _decimal(text: str) -> int:
-    s = text.strip()
-    if not _DECIMAL.fullmatch(s):
+    if "x" in text.lower():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(s)
+    return _bigint(text)
 
 
 def _positive_int(text: str) -> int:
@@ -79,7 +77,7 @@ def _seed(text: str) -> int:
 
 def _bits_list(text: str) -> tuple[int, ...]:
     bits = tuple(_decimal(part) for part in text.split(","))
-    if not bits or any(k < 2 for k in bits) or len(set(bits)) != len(bits):
+    if any(k < 2 for k in bits) or len(set(bits)) != len(bits):
         raise argparse.ArgumentTypeError(
             f"bit sizes must be unique integers >= 2: {text!r}"
         )

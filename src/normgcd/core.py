@@ -66,17 +66,18 @@ class NotRepresentableError(ValueError):
 _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256))
 
 
-def _require_odd_positive(a: int) -> None:
+def _require_positive(a: int, b: int = 1) -> None:
     if a < 1:
         raise ValueError(f"first operand must be positive, got {a}")
-    if a % 2 == 0:
-        raise ValueError(f"first operand must be odd, got {a}")
-
-
-def _require_operands(a: int, b: int) -> None:
-    _require_odd_positive(a)
     if b < 1:
         raise ValueError(f"second operand must be positive, got {b}")
+
+
+def _require_odd_first(a: int, b: int = 1) -> None:
+    # order: a < 1, a even, b < 1; a < 1 is compared before a % 2 is taken
+    if not a < 1 and a % 2 == 0:
+        raise ValueError(f"first operand must be odd, got {a}")
+    _require_positive(a, b)
 
 
 def normalize_solution(a: int, b: int, u: int, v: int) -> NormalState:
@@ -85,8 +86,7 @@ def normalize_solution(a: int, b: int, u: int, v: int) -> NormalState:
     The input solves u*a + v*b = c for whatever c it implies; the returned
     state solves the same equation.  Requires a >= 1.
     """
-    if a < 1:
-        raise ValueError(f"first operand must be positive, got {a}")
+    _require_positive(a)
     vn = v % a
     return NormalState(u + (v - vn) // a * b, vn, u * a + v * b)
 
@@ -98,7 +98,7 @@ def div1(a: int, c: int, v: int) -> tuple[int, int]:
     a must be odd and positive.  c = 0 is returned untouched (it has no odd
     part, and halving the zero solution would loop forever).
     """
-    _require_odd_positive(a)
+    _require_odd_first(a)
     while c != 0 and c % 2 == 0:
         c //= 2
         v = v // 2 if v % 2 == 0 else (v + a) // 2
@@ -112,13 +112,12 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
     ((u - b)/2, (v + a)/2).  a must be odd and positive; c = 0 is returned
     untouched.
     """
-    _require_odd_positive(a)
+    _require_odd_first(a)
     u, v, c = state
     while c != 0 and c % 2 == 0:
-        if v % 2 == 0:
-            u, v, c = u // 2, v // 2, c // 2
-        else:
-            u, v, c = (u - b) // 2, (v + a) // 2, c // 2
+        if v % 2:
+            u, v = u - b, v + a
+        u, v, c = u // 2, v // 2, c // 2
     return NormalState(u, v, c)
 
 
@@ -209,11 +208,7 @@ def wwl1(a: int, b: int) -> tuple[int, int]:
     seeded from the residues of b and -b modulo a and stops when one c
     reaches 1; a survivor other than 1 is gcd(a, b) and raises ValueError.
     """
-    _require_operands(a, b)
-    u, v, c = _descent(a, b, 1, None)
-    if c != 1:
-        raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {c}")
-    return u, v
+    return _wwl1(a, b, None)
 
 
 def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
@@ -222,12 +217,16 @@ def wwl1_trace(a: int, b: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
     The sum c1 + c2 strictly decreases along the returned list and
     gcd(c1, c2) = 1 holds at every index.
     """
-    _require_operands(a, b)
     trace: list[tuple[int, int]] = []
+    return _wwl1(a, b, trace), trace
+
+
+def _wwl1(a: int, b: int, trace: list[tuple[int, int]] | None) -> tuple[int, int]:
+    _require_odd_first(a, b)
     u, v, c = _descent(a, b, 1, trace)
     if c != 1:
         raise ValueError(f"operands must be coprime, got gcd({a}, {b}) = {c}")
-    return (u, v), trace
+    return u, v
 
 
 def wwl2(a: int, b: int) -> BezoutTriple:
@@ -237,12 +236,12 @@ def wwl2(a: int, b: int) -> BezoutTriple:
     one c reaches 0; the other c is g = gcd(a, b).  v is normalized and
     u = (g - v*b) / a recovered once at the end.
 
-    For coprime inputs v is the unique normalizer of 1.  When g > 1, v is
-    the normalizer of g that the descent leaves: a | (g - v*b) and v lies
-    in [0, a-1], but of the g such values it need not be the smallest;
-    canonical_min_v gives the smallest.
+    For coprime inputs v is the unique normalizer of 1.  When g > 1, with
+    a = g*a1 and b = g*b1, the descent is that of (a1, b1) scaled by g and v
+    is the same x * 2**-E (see _descent) reduced mod a instead of mod a1, so
+    canonical_min_v(a, b, wwl2(a, b)) has the u and v of wwl2(a1, b1).
     """
-    _require_operands(a, b)
+    _require_odd_first(a, b)
     return BezoutTriple(*_descent(a, b, 0, None))
 
 
@@ -253,7 +252,7 @@ def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
     strictly decreases along the list and gcd(c1, c2) = gcd(a, b) holds at
     every index.
     """
-    _require_operands(a, b)
+    _require_odd_first(a, b)
     trace: list[tuple[int, int]] = []
     return BezoutTriple(*_descent(a, b, 0, trace)), trace
 
@@ -301,10 +300,7 @@ def normalizer_of(a: int, b: int, c: int) -> Normalizer:
     multiplicative in c (mod a) and compatible with exact halving of even
     c when a is odd.
     """
-    if a < 1:
-        raise ValueError(f"first operand must be positive, got {a}")
-    if b < 1:
-        raise ValueError(f"second operand must be positive, got {b}")
+    _require_positive(a, b)
     _, vg, g = ext_gcd(a, b)
     if c % g != 0:
         raise NotRepresentableError(

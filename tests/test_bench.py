@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from normgcd import cli
 from normgcd.baselines import ALGORITHMS
 from normgcd.bench import (
     BenchCell,
@@ -161,6 +162,31 @@ def test_wrong_timed_output_aborts(monkeypatch, algo, timed):
     with pytest.raises(GcdDisagreement) as exc:
         run_benchmark(corpus)
     assert algo in exc.value.results
+
+
+@pytest.mark.parametrize(
+    "timed",
+    [
+        math.gcd,
+        lambda a, b: tuple(wwl2(a, b))[1:],
+        lambda a, b: list(wwl2(a, b)),
+        lambda a, b: (*wwl2(a, b), 0),
+    ],
+    ids=["int", "pair", "list", "four_tuple"],
+)
+def test_non_triple_wwl2_output_aborts(monkeypatch, capsys, tmp_path, timed):
+    # the check fails, so the run reports a disagreement instead of crashing
+    # on the unpacking; the CLI then exits 1 and writes no report
+    corpus = generate_corpus(CorpusSpec((8,), 3, seed=10))
+    monkeypatch.setitem(ALGORITHMS, "wwl2", ALGORITHMS["wwl2"]._replace(timed=timed))
+    with pytest.raises(GcdDisagreement) as exc:
+        run_benchmark(corpus)
+    assert "wwl2" in exc.value.results
+    out_path = tmp_path / "r.csv"
+    code = cli.run(["bench", "--bits", "8", "--count", "2", "--out", str(out_path)])
+    assert code == 1
+    assert "agreement failure" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_mean_iterations_match_direct_counts():

@@ -269,6 +269,20 @@ def test_wwl2_representative_when_gcd_exceeds_one():
     assert (t.v - canonical.v) % (a // t.g) == 0
 
 
+@given(a=odd_positive, b=positive, g=small_odd)
+@example(a=11559, b=6967, g=5)  # (57795, 34835) of the test above
+def test_wwl2_trace_scales_by_an_odd_gcd(a, b, g):
+    # g*(a, b) runs the descent of (a, b) times g, with the same x and E, so
+    # v is the coprime v lifted from [0, a-1] to [0, g*a-1]
+    assume(math.gcd(a, b) == 1)
+    t, trace = wwl2_trace(a, b)
+    scaled, scaled_trace = wwl2_trace(g * a, g * b)
+    assert scaled_trace == [(g * c1, g * c2) for c1, c2 in trace]
+    assert scaled.g == g
+    assert scaled.v % a == t.v
+    assert canonical_min_v(g * a, g * b, scaled)[:2] == t[:2]
+
+
 # --- the descent kernel against the paper's step functions -------------------
 #
 # Reference descents built from div1 and div2 step by step.  The div2 one
