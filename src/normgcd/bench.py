@@ -66,8 +66,6 @@ BenchCell.__doc__ = """Aggregated timing for one (algorithm, bit size) combinati
 The fields, in this order, are the CSV columns and the JSON cell keys.
 """
 
-CSV_COLUMNS = BenchCell._fields
-
 
 class BenchReport(namedtuple("BenchReport", "seed environment cells")):
     """All cells of one run plus the corpus seed and an environment note."""
@@ -193,7 +191,7 @@ def emit_report(report: BenchReport, fmt: str) -> bytes:
     one object per cell with the same fields, in the same order.
     """
     if fmt == "csv":
-        rows = [CSV_COLUMNS, *report.cells]
+        rows = [BenchCell._fields, *report.cells]
         return "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
     if fmt == "json":
         doc = {

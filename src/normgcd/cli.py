@@ -187,8 +187,7 @@ def _cmd_extgcd(args) -> int:
     line = f"{t.u} {t.v} {t.g}"
     if args.conormalizer:
         if args.a == 0:
-            print("co-normalizer undefined for a = 0", file=sys.stderr)
-            return EX_DOMAIN
+            raise ValueError("co-normalizer undefined for a = 0")
         line += f" {-t.v % abs(args.a)}"
     print(line)
     return EX_OK
@@ -259,8 +258,7 @@ def _cmd_bench(args) -> int:
         with open(args.out, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EX_DOMAIN
+        raise ValueError(f"cannot write {args.out}: {exc}")
 
     ratios = []
     for k in args.bits:
@@ -292,6 +290,3 @@ def run(argv: list[str] | None = None) -> int:
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-
-
-main = run

@@ -268,12 +268,10 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
     twos, v lies in [0, (a >> m) - 1] when a >> m is odd; otherwise u
     lies in [0, (b >> m) - 1].
     """
-    if a == 0 and b == 0:
-        return BezoutTriple(0, 0, 0)
     if a == 0:
-        return BezoutTriple(0, 1 if b > 0 else -1, abs(b))
+        return BezoutTriple(0, (b > 0) - (b < 0), abs(b))
     if b == 0:
-        return BezoutTriple(1 if a > 0 else -1, 0, abs(a))
+        return BezoutTriple((a > 0) - (a < 0), 0, abs(a))
     x, y = abs(a), abs(b)
     low = (x | y) & -(x | y)
     m = low.bit_length() - 1

@@ -218,7 +218,7 @@ def _real_report() -> BenchReport:
 def test_csv_round_trip():
     report = _real_report()
     header, *rows = emit_report(report, "csv").decode().splitlines()
-    assert header == ",".join(bench_module.CSV_COLUMNS)
+    assert header == ",".join(BenchCell._fields)
     assert [row.split(",") for row in rows] == [
         [str(x) for x in tuple(c)] for c in report.cells
     ]
@@ -240,7 +240,7 @@ def test_emit_rejects_unknown_format():
 
 def test_header_only_csv_for_empty_report():
     data = emit_report(BenchReport(1, "env", []), "csv")
-    assert data.decode().strip() == ",".join(bench_module.CSV_COLUMNS)
+    assert data.decode().strip() == ",".join(BenchCell._fields)
 
 
 def test_golden_csv_schema():

@@ -204,7 +204,7 @@ def test_run_restores_the_digit_limit(capsys):
     if get_limit is None:
         pytest.skip("this interpreter has no int/str digit limit")
     limit = get_limit()
-    assert cli.main(["gcd", "0", hex(3**10000)]) == 0
+    assert cli.run(["gcd", "0", hex(3**10000)]) == 0
     assert len(capsys.readouterr().out.strip()) == 4772
     assert get_limit() == limit
 
@@ -289,7 +289,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
         return VerificationReport(4, [Failure(2, 2, 2, 2, 3)], 0.01)
 
     monkeypatch.setattr(normgcd.oracle, "exhaustive_verify", fake_verify)
-    code = cli.main(["verify", "--max", "2"])
+    code = cli.run(["verify", "--max", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert "FAIL" in captured.out
@@ -340,7 +340,7 @@ def _bench_corpus(monkeypatch, tmp_path, *args):
 
     monkeypatch.setattr(normgcd.bench, "run_benchmark", capture)
     with pytest.raises(_Captured) as exc:
-        cli.main(["bench", *args, "--out", str(tmp_path / "r")])
+        cli.run(["bench", *args, "--out", str(tmp_path / "r")])
     return exc.value.args[0]
 
 
@@ -370,7 +370,7 @@ def test_bench_disagreement_exits_1(monkeypatch, capsys, tmp_path):
     broken = ALGORITHMS[algo]._replace(steps=lambda a, b: (math.gcd(a, b) + 1, 0))
     monkeypatch.setitem(ALGORITHMS, algo, broken)
     out_path = tmp_path / "r.csv"
-    code = cli.main(["bench", "--bits", "8", "--count", "2", "--out", str(out_path)])
+    code = cli.run(["bench", "--bits", "8", "--count", "2", "--out", str(out_path)])
     assert code == 1
     assert "agreement failure" in capsys.readouterr().err
     assert not out_path.exists()

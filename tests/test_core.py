@@ -459,6 +459,9 @@ def test_ext_gcd_zero_conventions():
     assert ext_gcd(9, 0) == (1, 0, 9)
     assert ext_gcd(0, -9) == (0, -1, 9)
     assert ext_gcd(-9, 0) == (-1, 0, 9)
+    # == alone would let a bool through (True == 1)
+    for a, b in [(0, 0), (0, 7), (0, -7), (7, 0), (-7, 0)]:
+        assert [type(x) for x in ext_gcd(a, b)] == [int, int, int], (a, b)
 
 
 def test_ext_gcd_examples():

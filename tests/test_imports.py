@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,27 @@ def test_clean_start_loads_no_typing(code, printed):
     )
     out = run_no_site(code + probe)
     assert out.splitlines() == printed + ["[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [(["extgcd", "240", "-46"], r"14 73 2\n"), (["verify", "--max", "40"], r"PASS.*\n")],
+    ids=["extgcd", "verify"],
+)
+def test_no_site_one_shot_loads_no_typing(argv, printed):
+    # the console path end to end: -m runs __main__, and -X importtime logs
+    # every module the one-shot loads; verify loads the oracle as well
+    out = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "normgcd", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+    )
+    assert re.fullmatch(printed, out.stdout)
+    loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
+    assert "normgcd.core" in loaded
+    assert not {"typing", "dataclasses"} & loaded
 
 
 def test_cli_import_loads_only_the_solver():
