@@ -87,10 +87,12 @@ def _draw(rng: random.Random, bits: int) -> int:
 def generate_corpus(spec: CorpusSpec) -> Corpus:
     """Deterministically draw the corpus described by ``spec``.
 
-    Operands are uniform in [2^(k-1), 2^k) for each requested bit size k.
-    The first operand is then made odd by setting its low bit, which keeps
-    it in that range, so that one corpus feeds every algorithm, including
-    the odd-first solver.
+    Operands are uniform in [2^(k-1), 2^k) for each requested bit size k,
+    each size from a fresh generator seeded with ``spec.seed``, so a size's
+    pairs depend only on k, the pair count and the seed, not on the other
+    sizes.  The first operand is then made odd by setting its low bit, which
+    keeps it in that range, so that one corpus feeds every algorithm,
+    including the odd-first solver.
     """
     if not spec.bit_sizes:
         raise ValueError("bit_sizes must be non-empty")
@@ -104,9 +106,9 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     if not 0 <= spec.seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {spec.seed}")
 
-    rng = random.Random(spec.seed)
     pairs_by_size: dict[int, list[CorpusPair]] = {}
     for k in spec.bit_sizes:
+        rng = random.Random(spec.seed)
         pairs_by_size[k] = [
             CorpusPair(_draw(rng, k) | 1, _draw(rng, k))
             for _ in range(spec.pairs_per_size)
@@ -114,7 +116,7 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
     return Corpus(spec.seed, pairs_by_size)
 
 
-def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
+def run_benchmark(corpus: Corpus) -> BenchReport:
     """Time every algorithm of ``ALGORITHMS`` on every corpus pair.
 
     One pass over (algorithm, bit size) cells.  For each pair, outside the
@@ -122,11 +124,9 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
     equal g, and its loop-iteration count goes into the cell's mean; one
     warm-up call's output must have gcd g and, for wwl2, be a tuple (u, v, g)
     with u*a + v*b = g and 0 <= v < a.  A mismatch raises GcdDisagreement,
-    so cells before it may already have been timed.  Then the
-    ``repetitions`` timed calls run, single-threaded.
+    so cells before it may already have been timed.  Then one timed call
+    runs, single-threaded; every cell's ``repetitions`` is 1.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     sizes = {k: len(pairs) for k, pairs in corpus.pairs_by_size.items()}
     if not sizes or 0 in sizes.values():
         raise ValueError(f"corpus needs pairs at every bit size, got {sizes}")
@@ -147,20 +147,18 @@ def run_benchmark(corpus: Corpus, repetitions: int = 1) -> BenchReport:
                 if not _timed_output_ok(algo, pa, pb, out, g):
                     raise GcdDisagreement(k, pair, {algo: out, "gcd": g})
                 t0 = time.perf_counter_ns()
-                for _ in range(repetitions):
-                    fn(pa, pb)
+                fn(pa, pb)
                 per_pair_ns.append(time.perf_counter_ns() - t0)
             total = sum(per_pair_ns)
-            calls = len(pairs) * repetitions
             cells.append(
                 BenchCell(
                     algorithm=algo,
                     bit_size=k,
                     pairs=len(pairs),
-                    repetitions=repetitions,
+                    repetitions=1,
                     total_ns=total,
-                    mean_ns=round(total / calls),
-                    median_ns=round(statistics.median(per_pair_ns) / repetitions),
+                    mean_ns=round(total / len(pairs)),
+                    median_ns=round(statistics.median(per_pair_ns)),
                     mean_iterations=iterations / len(pairs),
                 )
             )

@@ -164,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: %(default)s)",
     )
     p.add_argument("--out", required=True, help="report output path")
-    p.add_argument(
-        "--reps",
-        type=_positive_int,
-        default=1,
-        help="timed repetitions per pair (default: %(default)s)",
-    )
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -227,33 +221,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench import (
-        Corpus,
-        CorpusSpec,
-        GcdDisagreement,
-        emit_report,
-        generate_corpus,
-        run_benchmark,
-    )
+    from . import bench
 
-    # sizes that share a pair count are drawn together, each group from a
-    # fresh generator seeded with --seed
-    by_count: dict[int, list[int]] = {}
+    pairs = {}
     for k in args.bits:
         default = DEFAULT_PAIRS if k <= LARGE_BITS_THRESHOLD else DEFAULT_PAIRS_LARGE
-        by_count.setdefault(args.count or default, []).append(k)
-    drawn = {}
-    for n, sizes in by_count.items():
-        drawn.update(generate_corpus(CorpusSpec(tuple(sizes), n, args.seed)).pairs_by_size)
-    # report cells follow --bits, not the groups
-    corpus = Corpus(args.seed, {k: drawn[k] for k in args.bits})
-
+        spec = bench.CorpusSpec((k,), args.count or default, args.seed)
+        pairs[k] = bench.generate_corpus(spec).pairs_by_size[k]
     try:
-        report = run_benchmark(corpus, args.reps)
-    except GcdDisagreement as exc:
+        report = bench.run_benchmark(bench.Corpus(args.seed, pairs))
+    except bench.GcdDisagreement as exc:
         print(f"agreement failure: {exc}", file=sys.stderr)
         return EX_FAILURE
-    data = emit_report(report, args.format)
+    data = bench.emit_report(report, args.format)
     try:
         with open(args.out, "wb") as fh:
             fh.write(data)
@@ -280,7 +260,16 @@ def run(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        import os
+
+        # stdout is flushed again at exit: point it at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EX_DOMAIN
     except NotRepresentableError as exc:
         print(f"not representable: {exc}", file=sys.stderr)
         return EX_DOMAIN

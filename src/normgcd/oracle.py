@@ -74,7 +74,7 @@ def reference_ext_gcd(a: int, b: int) -> BezoutTriple:
     return BezoutTriple(old_s, old_t, old_r)
 
 
-def exhaustive_verify(limit: int = 300) -> VerificationReport:
+def exhaustive_verify(limit: int) -> VerificationReport:
     """Check every pair 1 <= a, b <= limit against the references.
 
     Per pair: the Bezout identity of ext_gcd, gcd agreement with

@@ -37,6 +37,13 @@ def test_different_seeds_differ():
     assert a != b
 
 
+def test_size_draw_does_not_depend_on_other_sizes():
+    alone = generate_corpus(CorpusSpec((32,), 20, seed=4)).pairs_by_size[32]
+    for sizes in ((16, 32), (32, 16), (8, 1024, 32)):
+        together = generate_corpus(CorpusSpec(sizes, 20, seed=4)).pairs_by_size
+        assert together[32] == alone
+
+
 def test_first_operand_is_always_odd():
     corpus = generate_corpus(CorpusSpec((8, 16), 50, seed=3))
     for pairs in corpus.pairs_by_size.values():
@@ -76,13 +83,13 @@ def test_generate_rejects_bad_specs(spec):
 
 def test_run_benchmark_produces_complete_cells():
     corpus = generate_corpus(CorpusSpec((8, 16), 4, seed=6))
-    report = run_benchmark(corpus, repetitions=2)
+    report = run_benchmark(corpus)
     assert len(report.cells) == 8  # 4 algorithms x 2 sizes
     seen = {(c.algorithm, c.bit_size) for c in report.cells}
     assert seen == {(algo, k) for algo in ALGORITHMS for k in (8, 16)}
     for cell in report.cells:
         assert cell.pairs == 4
-        assert cell.repetitions == 2
+        assert cell.repetitions == 1
         assert cell.total_ns >= 0
         assert cell.mean_ns >= 0
         assert cell.median_ns >= 0
@@ -95,18 +102,6 @@ def test_run_benchmark_single_pair_agreement():
     corpus = generate_corpus(CorpusSpec((8,), 1, seed=8))
     report = run_benchmark(corpus)
     assert len(report.cells) == 4
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"repetitions": 0},
-    ],
-)
-def test_run_benchmark_rejects_bad_arguments(kwargs):
-    corpus = generate_corpus(CorpusSpec((8,), 2, seed=1))
-    with pytest.raises(ValueError):
-        run_benchmark(corpus, **kwargs)
 
 
 def test_run_benchmark_rejects_empty_corpus():

@@ -306,7 +306,6 @@ def test_bench_writes_report_and_prints_ratio(tmp_path):
         "--bits", "8,10",
         "--count", "3",
         "--seed", "7",
-        "--reps", "2",
         "--format", "json",
         "--out", str(out_path),
     )
@@ -344,7 +343,7 @@ def _bench_corpus(monkeypatch, tmp_path, *args):
     return exc.value.args[0]
 
 
-def test_bench_default_counts_draw_one_corpus_per_count(monkeypatch, tmp_path):
+def test_bench_default_counts_draw_each_size_alone(monkeypatch, tmp_path):
     corpus = _bench_corpus(monkeypatch, tmp_path, "--bits", "16,1024", "--seed", "1")
     small = generate_corpus(CorpusSpec((16,), 10000, 1)).pairs_by_size
     large = generate_corpus(CorpusSpec((1024,), 500, 1)).pairs_by_size
@@ -354,7 +353,7 @@ def test_bench_default_counts_draw_one_corpus_per_count(monkeypatch, tmp_path):
 
 def test_bench_cells_follow_bits_order(monkeypatch, tmp_path):
     corpus = _bench_corpus(monkeypatch, tmp_path, "--bits", "1024,16,2048,32", "--seed", "1")
-    # each size keeps the pair stream of its per-count group
+    # a size's pairs depend only on its bit size, its count and the seed
     small = generate_corpus(CorpusSpec((16, 32), 10000, 1)).pairs_by_size
     large = generate_corpus(CorpusSpec((1024, 2048), 500, 1)).pairs_by_size
     assert list(corpus.pairs_by_size.items()) == [
@@ -363,6 +362,13 @@ def test_bench_cells_follow_bits_order(monkeypatch, tmp_path):
         (2048, large[2048]),
         (32, small[32]),
     ]
+
+
+def test_bench_size_pairs_do_not_depend_on_other_sizes(monkeypatch, tmp_path):
+    alone = _bench_corpus(monkeypatch, tmp_path, "--bits", "32")
+    for bits in ("16,32", "32,16"):
+        corpus = _bench_corpus(monkeypatch, tmp_path, "--bits", bits)
+        assert corpus.pairs_by_size[32] == alone.pairs_by_size[32]
 
 
 def test_bench_disagreement_exits_1(monkeypatch, capsys, tmp_path):
