@@ -119,13 +119,12 @@ def generate_corpus(spec: CorpusSpec) -> Corpus:
 def run_benchmark(corpus: Corpus) -> BenchReport:
     """Time every algorithm of ``ALGORITHMS`` on every corpus pair.
 
-    One pass over (algorithm, bit size) cells.  For each pair, outside the
-    timed region: ``math.gcd`` gives the reference g; the ``steps`` gcd must
-    equal g, and its loop-iteration count goes into the cell's mean; one
-    warm-up call's output must have gcd g and, for wwl2, be a tuple (u, v, g)
-    with u*a + v*b = g and 0 <= v < a.  A mismatch raises GcdDisagreement,
-    so cells before it may already have been timed.  Then one timed call
-    runs, single-threaded; every cell's ``repetitions`` is 1.
+    One pass over (algorithm, bit size) cells.  Per pair, outside the timed
+    region: the ``steps`` gcd must equal ``math.gcd``'s g, and its iteration
+    count goes into the cell's mean; one warm-up call's output must have gcd
+    g and, for wwl2, be a tuple (u, v, g) with u*a + v*b = g and 0 <= v < a.
+    A mismatch raises GcdDisagreement, so earlier cells may already be timed.
+    Then one timed call runs, single-threaded; ``repetitions`` is 1 per cell.
     """
     sizes = {k: len(pairs) for k, pairs in corpus.pairs_by_size.items()}
     if not sizes or 0 in sizes.values():
@@ -143,7 +142,8 @@ def run_benchmark(corpus: Corpus) -> BenchReport:
                 if h != g:
                     raise GcdDisagreement(k, pair, {algo: h, "gcd": g})
                 iterations += n
-                out = fn(pa, pb)  # warm-up: checked, not timed
+                # warm-up: first calls run slow, wwl2's most, and would skew wwl2/mixed
+                out = fn(pa, pb)
                 if not _timed_output_ok(algo, pa, pb, out, g):
                     raise GcdDisagreement(k, pair, {algo: out, "gcd": g})
                 t0 = time.perf_counter_ns()

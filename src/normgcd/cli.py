@@ -1,10 +1,12 @@
 """Command-line front end: solve, inspect normalizers, verify, benchmark.
 
-Exit codes: 0 success, 1 verification or agreement failure, 2 domain
-errors (unsolvable instances, bad values, unwritable output), 64 usage
-errors.  Integer arguments accept ASCII decimal or 0x-prefixed hex of any
-length, with an optional leading sign; option values (counts, seed, bit
-sizes) take the same grammar without the hex form.
+``run(argv)`` returns the exit code for every argv, ``--help`` and usage
+errors included: 0 success, 1 verification or agreement failure, 2 domain
+errors (unsolvable instances, bad values, unwritable output such as a
+stdout on a closed pipe or a full device), 64 usage errors.  Integer
+arguments accept ASCII decimal or 0x-prefixed hex of any length, with an
+optional leading sign; option values (counts, seed, bit sizes) take the
+same grammar without the hex form.
 
 Only ``core`` and ``baselines`` load with this module.  ``verify`` imports
 the oracle and ``bench`` the benchmark harness when they run, so a one-shot
@@ -33,19 +35,12 @@ _INTEGER = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage problems; 2 is reserved for domain errors
-    here, so usage problems exit 64 instead."""
+    """argparse that reads "-" + any Unicode digit as an operand, so -0x1f is
+    a number and -1_0 reaches _bigint, which names what is wrong with it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Every "-" + digit token is an operand, so -0x1f reads as a number and
-        # -1_0 reaches _bigint, which names what is wrong with it.  \d is
-        # Unicode on purpose: "-" and a non-ASCII digit get the same message.
         self._negative_number_matcher = re.compile(r"-\d")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _bigint(text: str) -> int:
@@ -261,21 +256,23 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        sys.stdout.flush()  # an unwritable stdout raises here, not at exit
         return code
-    except BrokenPipeError as exc:
+    except SystemExit as exc:
+        # argparse exits 0 after --help, and 2 (a domain error here) on misuse
+        return EX_USAGE if exc.code else EX_OK
+    except OSError as exc:
         import os
 
         # stdout is flushed again at exit: point it at the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EX_DOMAIN
+        message = f"error: cannot write output: {exc}"
     except NotRepresentableError as exc:
-        print(f"not representable: {exc}", file=sys.stderr)
-        return EX_DOMAIN
+        message = f"not representable: {exc}"
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DOMAIN
+        message = f"error: {exc}"
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
+    print(message, file=sys.stderr)
+    return EX_DOMAIN

@@ -9,7 +9,7 @@ agreement with the main solver is evidence rather than tautology.
 import time
 from collections import namedtuple
 
-from .core import BezoutTriple, ext_gcd, wwl1
+from .core import BezoutTriple, _require_positive, ext_gcd, wwl1
 
 __all__ = [
     "Failure",
@@ -44,8 +44,7 @@ def brute_normalizer(a: int, b: int, c: int) -> int | None:
     Exhaustive scan; the match is unique when gcd(a, b) = 1, and None
     means gcd(a, b) does not divide c.
     """
-    if a < 1:
-        raise ValueError(f"first operand must be positive, got {a}")
+    _require_positive(a)
     for v in range(a):
         if (c - v * b) % a == 0:
             return v

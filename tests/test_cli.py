@@ -248,9 +248,9 @@ def test_help_exits_zero(argv):
 
 def test_gcd_help_lists_the_table_names():
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
-        cli.run(["gcd", "--help"])
-    assert exc.value.code == 0
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(["gcd", "--help"])
+    assert code == 0
     assert "{euclid,binary,mixed,wwl2}" in buf.getvalue()
 
 
