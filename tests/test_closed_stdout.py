@@ -2,9 +2,10 @@
 
 Two kinds of unwritable stdout: a pipe whose read end is closed before the
 child starts, and the full device ``/dev/full``, where every write fails
-with ENOSPC (tested wherever it exists).  Each command runs on each, once
-with Python's default block buffering (the write fails when ``run``
-flushes) and once unbuffered (the first ``print`` fails).
+with ENOSPC (tested wherever it exists).  Each command, and ``--help`` at
+the top level and of ``gcd``, runs on each, once with Python's default
+block buffering (the write fails when ``run`` flushes) and once unbuffered
+(the first ``print``, or argparse's write of the help text, fails).
 
 Runs without pytest, so any interpreter can be checked:
 
@@ -26,6 +27,8 @@ COMMANDS = [
     ["gcd", "4", "6"],
     ["verify", "--max", "5"],
     ["bench", "--bits", "8", "--count", "1", "--out", "{tmp}/r.csv"],
+    ["--help"],
+    ["gcd", "--help"],
 ]
 
 

@@ -78,7 +78,40 @@ def test_cli_import_loads_only_the_solver():
         "import sys, normgcd.cli; "
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('normgcd'))))"
     )
-    assert out.split() == ["normgcd", "normgcd.baselines", "normgcd.cli", "normgcd.core"]
+    assert out.split() == ["normgcd", "normgcd.cli", "normgcd.core"]
+
+
+# what a one-shot must not load: the parser half of the CLI and what it pulls in
+PARSER_MODULES = {"argparse", "gettext", "locale", "normgcd.baselines", "normgcd._commands"}
+
+
+def _one_shot_loads(site_flags: list[str], argv: list[str]) -> tuple[str, set[str]]:
+    out = subprocess.run(
+        [sys.executable, *site_flags, "-X", "importtime", "-m", "normgcd", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    return out.stdout, {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
+
+
+@pytest.mark.parametrize("site_flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_one_shot_extgcd_loads_no_parser(site_flags):
+    printed, loaded = _one_shot_loads(site_flags, ["extgcd", "240", "-46"])
+    assert printed == "14 73 2\n"
+    assert {"normgcd.core", "normgcd.cli"} <= loaded
+    assert not PARSER_MODULES & loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gcd", "4", "6"], ["extgcd", "--help"], ["extgcd", "1_0", "3"]],
+    ids=["gcd", "extgcd-help", "extgcd-bad-operand"],
+)
+def test_any_other_argv_loads_the_parser(argv):
+    # the fallback: argparse reads, so its messages are the ones printed
+    _, loaded = _one_shot_loads([], argv)
+    assert {"argparse", "normgcd._commands"} <= loaded
 
 
 def test_bare_import_loads_only_core():
