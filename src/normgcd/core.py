@@ -7,14 +7,15 @@ divisions with subtractions and halvings.
 
 Since v determines u through u = (c - v*b) / a, the descent runs on the
 pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
-x * 2**-E mod a, puts it in [0, a-1] once after the loop, and returns
-(u, v, c) with u recovered by one exact division.  ``div1`` and ``div2``
-are the paper's halving steps on (c, v) and on (u, v, c), and the tests
-check the kernel against descents built on both.
+x * 2**-E mod a, puts it in [0, a-1] once after the loop (by pow up to a
+cutoff in E, by ``_unscale`` above it), and returns (u, v, c) with u
+recovered by one exact division.  ``div1`` and ``div2`` are the paper's
+halving steps on (c, v) and on (u, v, c); the tests check it against both.
 
 ``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
 call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
-zeros and a shared power of two away and calls it directly.
+zeros and twos away first.  All but ``wwl2_trace``, which runs on to
+(0, g), stop the descent once c1 reaches 1.
 """
 
 from collections import namedtuple
@@ -64,6 +65,8 @@ class NotRepresentableError(ValueError):
 # trailing zero bits of each byte value; 0 for the zero byte, whose run
 # (8 or more twos, or none left at all) the caller measures itself
 _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256))
+
+_POW_TAIL_MAX_E = 128  # pow beats _unscale's lift and word steps up to E ~ 128
 
 
 def _require_positive(a: int, b: int = 1) -> None:
@@ -154,14 +157,15 @@ def _descent(
     each halved to its odd part, and keeps c1 <= c2.  Each iteration
     replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
     odd part.  Runs while c1 > stop and returns (u, v, c), c the survivor:
-    gcd(a, b), or 1 when stop = 1 and the pair is coprime.  A trace list
-    gets (c1, c2) at loop entry and after every iteration.
+    gcd(a, b), or 1 when stop = 1 and the pair is coprime (the v of c1 = 1
+    is the one c1 = 0 would leave: a has one normalizer of 1).  A trace
+    list gets (c1, c2) at loop entry and after every iteration.
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
-    shift, x1 takes the 2**t; v is put in [0, a-1] once and gives u.
-    c2 - c1 is even, and its run t is read from the low byte through
-    _TRAILING_ZEROS; only a zero low byte (c2 = 0, or t >= 8, about one
-    iteration in 128) measures the run on the whole of c2.
+    shift, x1 takes the 2**t.  v = x * pow((a + 1)/2, E, a) % a while
+    E <= _POW_TAIL_MAX_E, else _unscale(x, E, a), and v gives u.
+    The run t of the even c2 - c1 is read from its low byte by _TRAILING_ZEROS;
+    only a zero low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.
     """
     r = b % a
     c1, x1 = r, 1
@@ -197,7 +201,7 @@ def _descent(
         if trace is not None:
             trace.append((c1, c2))
     x, c = (x1, c1) if c1 else (x2, c2)
-    v = _unscale(x, e, a)
+    v = x * pow((a + 1) >> 1, e, a) % a if e <= _POW_TAIL_MAX_E else _unscale(x, e, a)
     return (c - v * b) // a, v, c
 
 
@@ -233,8 +237,8 @@ def wwl2(a: int, b: int) -> BezoutTriple:
     """Extended gcd for positive a, b with a odd: u*a + v*b = g, 0 <= v <= a-1.
 
     Descends by one subtraction plus a run of halvings per iteration, until
-    one c reaches 0; the other c is g = gcd(a, b).  v is normalized and
-    u = (g - v*b) / a recovered once at the end.
+    one c reaches 1 (coprime) or 0, the other c then being g = gcd(a, b).
+    v is normalized and u = (g - v*b) / a recovered once at the end.
 
     For coprime inputs v is the unique normalizer of 1.  When g > 1, with
     a = g*a1 and b = g*b1, the descent is that of (a1, b1) scaled by g and v
@@ -242,15 +246,15 @@ def wwl2(a: int, b: int) -> BezoutTriple:
     canonical_min_v(a, b, wwl2(a, b)) has the u and v of wwl2(a1, b1).
     """
     _require_odd_first(a, b)
-    return BezoutTriple(*_descent(a, b, 0, None))
+    return tuple.__new__(BezoutTriple, _descent(a, b, 1, None))
 
 
 def wwl2_trace(a: int, b: int) -> tuple[BezoutTriple, list[tuple[int, int]]]:
     """wwl2 plus the (c1, c2) pair at loop entry and after every iteration.
 
-    len(trace) - 1 is the number of descent iterations.  The sum c1 + c2
-    strictly decreases along the list and gcd(c1, c2) = gcd(a, b) holds at
-    every index.
+    Runs on past c1 = 1 to (0, g), so len(trace) - 1 counts the full
+    descent's iterations.  The sum c1 + c2 strictly decreases along the list
+    and gcd(c1, c2) = gcd(a, b) holds at every index.
     """
     _require_odd_first(a, b)
     trace: list[tuple[int, int]] = []
@@ -264,29 +268,29 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
     the returned coefficients, a shared power of two is split off by bit
     shifts and restored into g, and an even first operand is swapped to
     second place.  The reduced pair meets the kernel's preconditions and
-    is passed to it directly.  For positive a and b, with m the shared
-    twos, v lies in [0, (a >> m) - 1] when a >> m is odd; otherwise u
-    lies in [0, (b >> m) - 1].
+    goes to it directly, to stop as wwl2 does.  For positive a and b, with
+    m the shared twos, v lies in [0, (a >> m) - 1] when a >> m is odd;
+    otherwise u lies in [0, (b >> m) - 1].
     """
     if a == 0:
         return BezoutTriple(0, (b > 0) - (b < 0), abs(b))
     if b == 0:
         return BezoutTriple((a > 0) - (a < 0), 0, abs(a))
     x, y = abs(a), abs(b)
-    low = (x | y) & -(x | y)
-    m = low.bit_length() - 1
-    x >>= m
-    y >>= m
+    m = ((x | y) & -(x | y)).bit_length() - 1
+    if m:
+        x >>= m
+        y >>= m
     if x & 1:
-        u, v, g = _descent(x, y, 0, None)
+        u, v, g = _descent(x, y, 1, None)
     else:
         # y is odd once the shared twos are out
-        v, u, g = _descent(y, x, 0, None)
+        v, u, g = _descent(y, x, 1, None)
     if a < 0:
         u = -u
     if b < 0:
         v = -v
-    return BezoutTriple(u, v, g << m)
+    return tuple.__new__(BezoutTriple, (u, v, g << m))
 
 
 def normalizer_of(a: int, b: int, c: int) -> Normalizer:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from normgcd import core
 from normgcd.baselines import binary_gcd_steps
 from normgcd.core import (
     BezoutTriple,
@@ -481,7 +482,11 @@ def test_ext_gcd_total_contract(a, b):
 
 
 def _via_wwl2(a, b):
-    """ext_gcd's reduction written out around the public, checked wwl2."""
+    """ext_gcd's reduction written out around wwl2_trace, the full descent.
+
+    The untraced entry points stop once c1 reaches 1; wwl2_trace runs every
+    iteration down to (0, g), so it is the oracle they are checked against.
+    """
     if a == 0 and b == 0:
         return BezoutTriple(0, 0, 0)
     if a == 0:
@@ -492,9 +497,9 @@ def _via_wwl2(a, b):
     while x % 2 == 0 and y % 2 == 0:
         x, y, m = x // 2, y // 2, m + 1
     if x % 2 == 1:
-        u, v, g = wwl2(x, y)
+        u, v, g = wwl2_trace(x, y)[0]
     else:
-        v, u, g = wwl2(y, x)
+        v, u, g = wwl2_trace(y, x)[0]
     return BezoutTriple(-u if a < 0 else u, -v if b < 0 else v, g << m)
 
 
@@ -531,6 +536,136 @@ def test_ext_gcd_v_range_when_first_operand_leads(a, b):
     a_stripped = a // low
     if a_stripped % 2 == 1:
         assert 0 <= v < a_stripped
+
+
+# --- the traced descent as the oracle of the untraced one -------------------
+
+
+def _sized(draw, bits, odd=False):
+    n = draw(st.integers(1 << bits - 1, (1 << bits) - 1))
+    return n | 1 if odd else n
+
+
+@st.composite
+def descent_shapes(draw):
+    """Signed pairs of every lib-small shape (odd first, even first, shared
+    twos 1..12, an odd common factor, a zero), with balanced sizes up to 64
+    bits or one operand up to 600 bits against the other's 64 or fewer."""
+    short, long = st.integers(2, 64), st.integers(65, 600)
+    bits_a, bits_b = draw(
+        st.one_of(st.tuples(short, short), st.tuples(long, short), st.tuples(short, long))
+    )
+    shape = draw(st.sampled_from(["odd", "even", "twos", "factor", "zero"]))
+    if shape == "odd":
+        a, b = _sized(draw, bits_a, odd=True), _sized(draw, bits_b)
+    elif shape == "even":
+        a, b = _sized(draw, bits_a) & -2, _sized(draw, bits_b, odd=True)
+    elif shape == "twos":
+        k = draw(st.integers(1, 12))
+        a, b = _sized(draw, bits_a) << k, _sized(draw, bits_b) << k
+    elif shape == "factor":
+        f = draw(st.integers(1, 2047)) * 2 + 1
+        a, b = f * _sized(draw, bits_a, odd=True), f * _sized(draw, bits_b)
+    else:
+        a, b = draw(st.sampled_from([(0, _sized(draw, bits_b)), (_sized(draw, bits_a), 0)]))
+    return a * draw(st.sampled_from([1, -1])), b * draw(st.sampled_from([1, -1]))
+
+
+@given(descent_shapes())
+@example((1, 5))
+@example((3 * 7, 3 * 11))
+@example(((1 << 300) + 1, 7))
+@example((7, (1 << 300) + 1))
+def test_untraced_paths_return_what_the_full_descent_returns(pair):
+    a, b = pair
+    t = ext_gcd(a, b)
+    assert type(t) is BezoutTriple and [type(n) for n in t] == [int, int, int]
+    assert t == _via_wwl2(a, b)
+    if a == 0 or b == 0:
+        return
+    # the odd-first pair ext_gcd hands the kernel
+    x, y = abs(a) // (t.g & -t.g), abs(b) // (t.g & -t.g)
+    if x % 2 == 0:
+        x, y = y, x
+    triple, trace = wwl2_trace(x, y)
+    out = wwl2(x, y)
+    assert out == triple
+    assert type(out) is BezoutTriple and [type(n) for n in out] == [int, int, int]
+    # the traced descent never stops early: it ends at (0, g), g > 1 included
+    assert trace[-1] == (0, triple.g)
+    if triple.g == 1:
+        assert wwl1(x, y) == wwl1_trace(x, y)[0] == triple[:2]
+    else:
+        for solve in (wwl1, lambda a, b: wwl1_trace(a, b)[0]):
+            with pytest.raises(ValueError, match=rf"= {triple.g}$"):
+                solve(x, y)
+
+
+# --- both tails of the descent: pow up to _POW_TAIL_MAX_E, _unscale above ----
+
+
+def _solve_all(a, b):
+    """ext_gcd, wwl2 and wwl1 on odd a >= 1 and b >= 1, with result types."""
+    out = [ext_gcd(a, b), ext_gcd(-b, a), wwl2(a, b)]
+    try:
+        out.append(wwl1(a, b))
+    except ValueError as err:
+        out.append(str(err))
+    return out, [[type(n) for n in r] for r in out[:3]]
+
+
+def _solve_all_with_cutoff(cutoff, a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_POW_TAIL_MAX_E", cutoff)
+        return _solve_all(a, b)
+
+
+def _tail_e(a, b):
+    """The E that wwl2's descent of (a, b) hands its tail, read off _unscale."""
+    seen = []
+
+    def spy(x, e, a):
+        seen.append(e)
+        return _unscale(x, e, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_POW_TAIL_MAX_E", -1)
+        mp.setattr(core, "_unscale", spy)
+        wwl2(a, b)
+    return seen
+
+
+def assert_tails_agree(a, b):
+    default = _solve_all(a, b)
+    assert _solve_all_with_cutoff(0, a, b) == default
+    assert _solve_all_with_cutoff(10**9, a, b) == default
+
+
+@given(
+    a=st.one_of(st.just(1), st.integers(0, 2**200).map(lambda n: 2 * n + 1)),
+    b=st.integers(1, 2**200),
+    k=st.sampled_from([1, 3, 105, 2**61 - 1]),
+)
+def test_pow_and_unscale_tails_agree(a, b, k):
+    assert_tails_agree(a * k, b * k)
+
+
+@pytest.mark.parametrize(
+    "a,b,g,e",
+    [
+        (970223353946409462533972323, 520523010529095915923753696, 1, 128),
+        (10832785579696799492852776523, 3962299609318802069254898344, 1, 129),
+        (1990917732660388173459021237705, 1759953746773177867451146337955, 315, 128),
+        (774900727633673593557734955, 485390683255960240663469250, 105, 129),
+    ],
+)
+def test_tails_agree_at_the_cutoff(a, b, g, e):
+    # E = cutoff takes the pow tail and E = cutoff + 1 _unscale
+    assert e - core._POW_TAIL_MAX_E in (0, 1)
+    assert _tail_e(a, b) == [e]
+    assert math.gcd(a, b) == g
+    assert_tails_agree(a, b)
+    assert_descents_match_reference(a, b)
 
 
 # --- normalizer_of ----------------------------------------------------------
