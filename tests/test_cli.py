@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import normgcd.bench
@@ -167,6 +167,39 @@ def test_dash_led_bad_operand_is_named(text):
     out = run_cli("extgcd", text, "3")
     assert out.returncode == 64
     assert "not an integer" in out.stderr
+
+
+def _int_without_extras(text):
+    s = text.strip()
+    if not s.isascii() or "_" in s:
+        return None
+    try:
+        return int(s, 16 if "x" in s.lower() else 10)
+    except ValueError:
+        return None
+
+
+OPERAND_ALPHABET = "0123456789abcdefABCDEFxX+-_ \t\u0663\u00b2"
+# near-misses of the grammar: padding, signs and an optional 0x around a body
+# of mostly hex digits, with any character of the alphabet mixed in
+near_operands = st.tuples(
+    st.text(" \t", max_size=1),
+    st.text("+-", max_size=2),
+    st.sampled_from(["", "0x", "0X"]),
+    st.text(st.sampled_from("0123456789abcdefABCDEF") | st.sampled_from(OPERAND_ALPHABET)),
+    st.text(" \t", max_size=1),
+).map("".join)
+
+
+@given(st.text(OPERAND_ALPHABET) | near_operands)
+@example("1_000")
+@example("0x_1f")
+@example("0x1_f")
+@example("\u0663")
+@example("-\u00b2")
+def test_operand_grammar_is_int_without_its_extras(text):
+    # the grammar's regex only refuses underscores and non-ASCII digits
+    assert cli._integer(text) == _int_without_extras(text)
 
 
 @pytest.mark.parametrize(

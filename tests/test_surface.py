@@ -9,7 +9,11 @@ Runs without pytest, so any interpreter can be checked against the golden:
     PYTHONPATH=src python tests/test_surface.py | cmp - tests/data/surface.jsonl
 
 and a deliberate change of the surface regenerates it the same way, with
-``> tests/data/surface.jsonl``.
+``> tests/data/surface.jsonl``.  Run from outside the checkout with no
+``PYTHONPATH``, it imports and checks the installed package instead, as
+the CI workflow does:
+
+    python "$CHECKOUT/tests/test_surface.py" | cmp - "$CHECKOUT/tests/data/surface.jsonl"
 """
 
 import contextlib
