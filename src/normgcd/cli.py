@@ -15,7 +15,6 @@ which loads ``baselines``; ``verify`` and ``bench`` import the oracle and
 the benchmark harness when they run.
 """
 
-import re
 import sys
 from types import SimpleNamespace
 
@@ -27,14 +26,18 @@ EX_DOMAIN = 2
 EX_USAGE = 64
 
 # ASCII only: int() alone would also take "1_000", "0x_1f" and non-ASCII digits
-_INTEGER = re.compile(r"[+-]?(?:0[xX][0-9a-fA-F]+|[0-9]+)")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _EXTGCD_FLAGS = {"--canonical", "--conormalizer"}
 
 
 def _integer(text: str) -> int | None:
-    """``text`` as an integer of the one grammar, or None if it is not one."""
+    """``text`` as an integer of the one grammar, or None if it is not one:
+    an optional sign, then 0x or 0X and hex digits, or decimal digits."""
     s = text.strip()
-    return int(s, 16 if "x" in s.lower() else 10) if _INTEGER.fullmatch(s) else None
+    body = s[1:] if s[:1] in ("+", "-") else s
+    if body[:2] in ("0x", "0X"):
+        return int(s, 16) if body[2:] and _HEX_DIGITS.issuperset(body[2:]) else None
+    return int(s) if body.isascii() and body.isdigit() else None
 
 
 def _extgcd_args(argv: list[str]) -> SimpleNamespace | None:

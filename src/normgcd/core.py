@@ -7,10 +7,10 @@ divisions with subtractions and halvings.
 
 Since v determines u through u = (c - v*b) / a, the descent runs on the
 pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
-x * 2**-E mod a, puts it in [0, a-1] once after the loop (by pow up to a
-cutoff in E, by ``_unscale`` above it), and returns (u, v, c) with u
-recovered by one exact division.  ``div1`` and ``div2`` are the paper's
-halving steps on (c, v) and on (u, v, c); the tests check it against both.
+x * 2**-E mod a (|x| <= a), takes a long first run as one 2-adic division,
+puts v in [0, a-1] once after the loop by 2-adic Montgomery reduction and
+recovers u by one exact division.  ``div1`` and ``div2`` are the paper's
+halving steps on (c, v) and (u, v, c); the tests check the kernel on both.
 
 ``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
 call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
@@ -66,7 +66,8 @@ class NotRepresentableError(ValueError):
 # (8 or more twos, or none left at all) the caller measures itself
 _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256))
 
-_POW_TAIL_MAX_E = 128  # pow beats _unscale's lift and word steps up to E ~ 128
+# i^-1 mod 256 for each odd byte i (0 at the even ones, which are never read)
+_INVERSES = tuple(pow(i, -1, 256) if i & 1 else 0 for i in range(256))
 
 
 def _require_positive(a: int, b: int = 1) -> None:
@@ -124,24 +125,30 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
     return NormalState(u, v, c)
 
 
+def _inverse(a: int, k: int) -> int:
+    """a^-1 mod 2**j for odd a, j >= k a power-of-two multiple of 8.
+
+    The byte table gives 8 bits, and each Newton step inv*(2 - a*inv),
+    cut to j bits, doubles them.  Only the low j bits of a matter.
+    """
+    inv, j = _INVERSES[a & 255], 8
+    while j < k:
+        j <<= 1
+        inv = inv * (2 - a * inv) & (1 << j) - 1
+    return inv
+
+
 def _unscale(x: int, e: int, a: int) -> int:
     """x * 2**-e mod a for odd a >= 1, by word-wise 2-adic Montgomery reduction.
 
-    inv = a^-1 mod 2**w, w = min(e, 256), is Newton-lifted from
-    (3*a & 31) ^ 2, right to 5 bits whatever the higher bits of a.  Each
-    step takes one word of at most w bits: with m = 2**s - 1,
-    x + (-(x & m)*inv & m)*a is divisible by 2**s and the quotient is
-    x * 2**-s mod a.  ceil(e/256) steps remove all e twos and
-    shrink x to about the size of a; one % a puts it in [0, a-1].
+    Each step takes one word of s <= 256 twos: with m = 2**s - 1 and
+    inv = a^-1 mod 2**s, x + (-(x & m)*inv & m)*a is divisible by 2**s and
+    the quotient is x * 2**-s mod a.  ceil(e/256) steps remove all e twos
+    and shrink x to about the size of a; one % a puts it in [0, a-1].
     """
-    w = min(e, 256)
-    inv, k = (3 * a & 31) ^ 2, 5
-    while k < w:
-        k <<= 1
-        m = (1 << k) - 1
-        inv = inv * (2 - (a & m) * inv) & m
+    inv = _inverse(a & (1 << 256) - 1, 256)
     while e:
-        s = min(e, w)
+        s = min(e, 256)
         m = (1 << s) - 1
         x = (x + ((-(x & m) * inv) & m) * a) >> s
         e -= s
@@ -162,22 +169,28 @@ def _descent(
     list gets (c1, c2) at loop entry and after every iteration.
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
-    shift, x1 takes the 2**t.  v = x * pow((a + 1)/2, E, a) % a while
-    E <= _POW_TAIL_MAX_E, else _unscale(x, E, a), and v gives u.
-    The run t of the even c2 - c1 is read from its low byte by _TRAILING_ZEROS;
-    only a zero low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.
+    shift, x1 takes the 2**t, and |x1*c2 - x2*c1| = a keeps |x| <= a.
+    Each run t is read from c2's low byte by _TRAILING_ZEROS; only a zero
+    low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.  Untraced,
+    a first run with c2 12 or more bits longer than c1 is one exact 2-adic
+    division: with k = bitlen(c2) - bitlen(c1) - 2 no swap falls in its
+    first k halvings, whose subtractions sit at the set bits of
+    q = c2 / c1 mod 2**k, so c2 -= q*c1 and x2 -= q*x1 skip them.
+    v = x * 2**-E mod a by 2-adic Montgomery reduction: one word inline
+    for E <= 256, _unscale above.  v gives u.
     """
+    tz = _TRAILING_ZEROS
     r = b % a
     c1, x1 = r, 1
     c2, x2 = a - r, -1
     # a is odd, so at most one seed is even; r = 0 (a | b, or a = 1) stays 0
     e = 0
     if r & 1:
-        e = (c2 & -c2).bit_length() - 1
+        e = tz[c2 & 255] or (c2 & -c2).bit_length() - 1
         c2 >>= e
         x1 <<= e
     elif r:
-        e = (r & -r).bit_length() - 1
+        e = tz[r & 255] or (r & -r).bit_length() - 1
         c1 >>= e
         x2 <<= e
     if c2 < c1:
@@ -185,7 +198,18 @@ def _descent(
         x1, x2 = x2, x1
     if trace is not None:
         trace.append((c1, c2))
-    tz = _TRAILING_ZEROS
+    elif c1 > stop and c2 >> 12 > c1:
+        k = c2.bit_length() - c1.bit_length() - 2
+        q = c2 * _inverse(c1, k) & (1 << k) - 1
+        c2 -= q * c1
+        x2 -= q * x1
+        t = (c2 & -c2).bit_length() - 1
+        c2 >>= t
+        x1 <<= t
+        e += t
+        if c2 < c1:
+            c1, c2 = c2, c1
+            x1, x2 = x2, x1
     while c1 > stop:
         c2 -= c1
         x2 -= x1
@@ -201,7 +225,10 @@ def _descent(
         if trace is not None:
             trace.append((c1, c2))
     x, c = (x1, c1) if c1 else (x2, c2)
-    v = x * pow((a + 1) >> 1, e, a) % a if e <= _POW_TAIL_MAX_E else _unscale(x, e, a)
+    if e > 256:
+        v = _unscale(x, e, a)
+    else:
+        v = (x - (x * _inverse(a, e) & (1 << e) - 1) * a >> e) % a
     return (c - v * b) // a, v, c
 
 
@@ -276,8 +303,9 @@ def ext_gcd(a: int, b: int) -> BezoutTriple:
         return BezoutTriple(0, (b > 0) - (b < 0), abs(b))
     if b == 0:
         return BezoutTriple((a > 0) - (a < 0), 0, abs(a))
-    x, y = abs(a), abs(b)
-    m = ((x | y) & -(x | y)).bit_length() - 1
+    x = -a if a < 0 else a
+    y = -b if b < 0 else b
+    m = 0 if (x | y) & 1 else ((x | y) & -(x | y)).bit_length() - 1
     if m:
         x >>= m
         y >>= m

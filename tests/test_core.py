@@ -11,6 +11,7 @@ from normgcd.core import (
     BezoutTriple,
     NormalState,
     NotRepresentableError,
+    _inverse,
     _unscale,
     canonical_min_v,
     div1,
@@ -546,16 +547,47 @@ def _sized(draw, bits, odd=False):
     return n | 1 if odd else n
 
 
+def _first_run_pair(c1, c2, s):
+    """An odd-first pair whose descent is seeded with (c1, c2), for odd
+    1 <= c1 < c2: b = c1 * 2**s, and a = b + c2 when s > 0 (the seed halves
+    b), a = b + 2*c2 when s = 0 (it halves a - b once)."""
+    b = c1 << s
+    return b + (c2 if s else 2 * c2), b
+
+
+@st.composite
+def first_run_seeds(draw):
+    """(c1, c2) seeds for the untraced long first-run step: c2 >> 12 just
+    above or just below c1 (the step's threshold), c2 up to 600 bits
+    longer, or c2 = q*c1 + y*2**(k+d) with y < c1, so that the step's
+    run of twos overshoots its k bits and the swap must follow it."""
+    c1 = _sized(draw, draw(st.integers(2, 64)), odd=True)
+    kind = draw(st.sampled_from(["above", "below", "long", "overshoot"]))
+    low = draw(st.integers(0, 2047)) * 2 + 1
+    if kind == "above":
+        return c1, (c1 + 1 << 12) + low
+    if kind == "below":
+        return c1, (c1 << 12) + low
+    if kind == "long":
+        return c1, _sized(draw, c1.bit_length() + draw(st.integers(12, 600)), odd=True)
+    k, d = draw(st.integers(12, 600)), draw(st.integers(3, 8))
+    q = _sized(draw, draw(st.integers(1, k)), odd=True)
+    y = _sized(draw, c1.bit_length() - 1, odd=True)
+    return c1, q * c1 + (y << k + d)
+
+
 @st.composite
 def descent_shapes(draw):
     """Signed pairs of every lib-small shape (odd first, even first, shared
     twos 1..12, an odd common factor, a zero), with balanced sizes up to 64
-    bits or one operand up to 600 bits against the other's 64 or fewer."""
+    bits or one operand up to 600 bits against the other's 64 or fewer; and
+    pairs seeded by first_run_seeds, scaled by 1, 3 or 105 and put either
+    way round (an even second operand then comes first)."""
     short, long = st.integers(2, 64), st.integers(65, 600)
     bits_a, bits_b = draw(
         st.one_of(st.tuples(short, short), st.tuples(long, short), st.tuples(short, long))
     )
-    shape = draw(st.sampled_from(["odd", "even", "twos", "factor", "zero"]))
+    shape = draw(st.sampled_from(["odd", "even", "twos", "factor", "zero", "first run"]))
     if shape == "odd":
         a, b = _sized(draw, bits_a, odd=True), _sized(draw, bits_b)
     elif shape == "even":
@@ -566,9 +598,19 @@ def descent_shapes(draw):
     elif shape == "factor":
         f = draw(st.integers(1, 2047)) * 2 + 1
         a, b = f * _sized(draw, bits_a, odd=True), f * _sized(draw, bits_b)
+    elif shape == "first run":
+        a, b = _first_run_pair(*draw(first_run_seeds()), draw(st.integers(0, 5)))
+        f = draw(st.sampled_from([1, 3, 105]))
+        a, b = draw(st.sampled_from([(f * a, f * b), (f * b, f * a)]))
     else:
         a, b = draw(st.sampled_from([(0, _sized(draw, bits_b)), (_sized(draw, bits_a), 0)]))
     return a * draw(st.sampled_from([1, -1])), b * draw(st.sampled_from([1, -1]))
+
+
+# seeds of the first-run step's edge cases: (c1, c2) just above and just
+# below its threshold, and a run of k + 3 twos that leaves c2 = 5 < c1 = 13
+_ABOVE, _BELOW = (5, (6 << 12) + 1), (5, (5 << 12) + 1)
+_OVERSHOOT = (13, ((1 << 73) + 1) * 13 + (5 << 77))
 
 
 @given(descent_shapes())
@@ -576,6 +618,13 @@ def descent_shapes(draw):
 @example((3 * 7, 3 * 11))
 @example(((1 << 300) + 1, 7))
 @example((7, (1 << 300) + 1))
+@example(_first_run_pair(*_ABOVE, 0))
+@example(_first_run_pair(*_BELOW, 0))
+@example(_first_run_pair(*_OVERSHOOT, 0))
+@example(tuple(105 * n for n in _first_run_pair(*_OVERSHOOT, 0)))
+@example(_first_run_pair(*_ABOVE, 3)[::-1])
+@example(_first_run_pair(*_OVERSHOOT, 1)[::-1])
+@example(tuple(-3 * n for n in _first_run_pair(*_ABOVE, 2)[::-1]))
 def test_untraced_paths_return_what_the_full_descent_returns(pair):
     a, b = pair
     t = ext_gcd(a, b)
@@ -601,27 +650,34 @@ def test_untraced_paths_return_what_the_full_descent_returns(pair):
                 solve(x, y)
 
 
-# --- both tails of the descent: pow up to _POW_TAIL_MAX_E, _unscale above ----
+# --- the tail: v = x * 2**-E mod a, one word inline, whole words by _unscale --
 
 
-def _solve_all(a, b):
-    """ext_gcd, wwl2 and wwl1 on odd a >= 1 and b >= 1, with result types."""
-    out = [ext_gcd(a, b), ext_gcd(-b, a), wwl2(a, b)]
-    try:
-        out.append(wwl1(a, b))
-    except ValueError as err:
-        out.append(str(err))
-    return out, [[type(n) for n in r] for r in out[:3]]
+def _scaled_survivor(a, b):
+    """The (x, E) that wwl2's descent of (a, b) hands its tail, by the plain
+    loop: one subtraction and one halving at a time, no table and no long
+    first-run step, stopping when c1 reaches 1 or 0."""
+    r = b % a
+    c1, x1, c2, x2, e = r, 1, a - r, -1, 0
+    while c1 and c1 % 2 == 0:
+        c1, x2, e = c1 // 2, 2 * x2, e + 1
+    while c2 % 2 == 0:
+        c2, x1, e = c2 // 2, 2 * x1, e + 1
+    if c2 < c1:
+        c1, c2, x1, x2 = c2, c1, x2, x1
+    while c1 > 1:
+        c2, x2 = c2 - c1, x2 - x1
+        while c2 and c2 % 2 == 0:
+            c2, x1, e = c2 // 2, 2 * x1, e + 1
+        if c2 < c1:
+            c1, c2, x1, x2 = c2, c1, x2, x1
+    return (x1 if c1 else x2), e
 
 
-def _solve_all_with_cutoff(cutoff, a, b):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_POW_TAIL_MAX_E", cutoff)
-        return _solve_all(a, b)
-
-
-def _tail_e(a, b):
-    """The E that wwl2's descent of (a, b) hands its tail, read off _unscale."""
+def assert_tail(a, b):
+    """wwl2's v is x * 2**-E mod a, by the inline word up to E = 256 and by
+    _unscale above it; ext_gcd and wwl1 agree.  Returns E."""
+    x, e = _scaled_survivor(a, b)
     seen = []
 
     def spy(x, e, a):
@@ -629,16 +685,59 @@ def _tail_e(a, b):
         return _unscale(x, e, a)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_POW_TAIL_MAX_E", -1)
         mp.setattr(core, "_unscale", spy)
-        wwl2(a, b)
-    return seen
+        t = wwl2(a, b)
+    assert t.v == x * pow(2, -e, a) % a
+    assert seen == ([e] if e > 256 else [])
+    assert ext_gcd(a, b) == t and type(t) is BezoutTriple
+    assert [type(n) for n in t] == [int, int, int]
+    if t.g == 1:
+        assert wwl1(a, b) == t[:2]
+    return e
 
 
-def assert_tails_agree(a, b):
-    default = _solve_all(a, b)
-    assert _solve_all_with_cutoff(0, a, b) == default
-    assert _solve_all_with_cutoff(10**9, a, b) == default
+@pytest.mark.parametrize(
+    "a,b,g,e",
+    [
+        (3270856494209250859942496680698003450449019768054870259311,
+         1695505876636901427015783346983123156477113591231974303028, 1, 256),
+        (270571852942144967258561781768929313691147196035331212515773,
+         100345437293581869357498212972436994995528200173807714381710, 1, 257),
+        (66435413401108460582411368658881612573438108177920134895705,
+         8726075242532253957070729043470495342044130521216456105735, 105, 256),
+        (56911236255434040762817877672509381863794135636585536096155,
+         17329440095040198561881049525774365830552495208595043183620, 105, 257),
+        # unbalanced: the first run is one step, and E lands on the boundary
+        (8391293733955447096900797834807327992234303706119228318241577538167355147619,
+         852808, 1, 256),
+        (20291501527746561571986310434196625831570374986402475110508125453961709863469,
+         690834, 1, 257),
+    ],
+)
+def test_tail_on_each_side_of_the_word(a, b, g, e):
+    assert math.gcd(a, b) == g
+    assert assert_tail(a, b) == e
+    assert_descents_match_reference(a, b)
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 2**64 + 3, 2**300])
+def test_tail_when_a_is_one(b):
+    # b mod 1 = 0: no halving at all, so E = 0 and the word is empty
+    assert assert_tail(1, b) == 0
+    assert wwl2(1, b) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("low", range(1, 256, 2))
+def test_inverse_and_tail_for_every_odd_low_byte(low):
+    rng = random.Random(low)
+    for a in (low, low + (rng.getrandbits(120) << 8), low + (rng.getrandbits(3000) << 8)):
+        for k in (0, 1, 7, 8, 9, 16, 17, 64, 65, 256, 257, 2048, 5000):
+            inv = _inverse(a, k)
+            assert inv * a % 2**k == 1 % 2**k
+            assert 0 <= inv < 2 ** max(8, 2 * k)
+    for bits in (8, 64, 200):
+        a = low + (rng.getrandbits(bits) << 8)
+        assert_tail(a, rng.randrange(1, 3 * a))
 
 
 @given(
@@ -646,26 +745,8 @@ def assert_tails_agree(a, b):
     b=st.integers(1, 2**200),
     k=st.sampled_from([1, 3, 105, 2**61 - 1]),
 )
-def test_pow_and_unscale_tails_agree(a, b, k):
-    assert_tails_agree(a * k, b * k)
-
-
-@pytest.mark.parametrize(
-    "a,b,g,e",
-    [
-        (970223353946409462533972323, 520523010529095915923753696, 1, 128),
-        (10832785579696799492852776523, 3962299609318802069254898344, 1, 129),
-        (1990917732660388173459021237705, 1759953746773177867451146337955, 315, 128),
-        (774900727633673593557734955, 485390683255960240663469250, 105, 129),
-    ],
-)
-def test_tails_agree_at_the_cutoff(a, b, g, e):
-    # E = cutoff takes the pow tail and E = cutoff + 1 _unscale
-    assert e - core._POW_TAIL_MAX_E in (0, 1)
-    assert _tail_e(a, b) == [e]
-    assert math.gcd(a, b) == g
-    assert_tails_agree(a, b)
-    assert_descents_match_reference(a, b)
+def test_tail_is_x_times_inverse_power_of_two(a, b, k):
+    assert_tail(a * k, b * k)
 
 
 # --- normalizer_of ----------------------------------------------------------

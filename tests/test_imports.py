@@ -103,6 +103,15 @@ def test_one_shot_extgcd_loads_no_parser(site_flags):
     assert not PARSER_MODULES & loaded
 
 
+def test_no_site_one_shot_extgcd_loads_no_re():
+    # the front reads operands with str methods, so neither re nor its enum
+    # loads; without -S a .pth file of site-packages may load both first
+    printed, loaded = _one_shot_loads(["-S"], ["extgcd", "240", "-46"])
+    assert printed == "14 73 2\n"
+    assert "normgcd.cli" in loaded
+    assert not {"re", "enum"} & loaded
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gcd", "4", "6"], ["extgcd", "--help"], ["extgcd", "1_0", "3"]],
