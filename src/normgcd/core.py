@@ -8,7 +8,7 @@ divisions with subtractions and halvings.
 Since v determines u through u = (c - v*b) / a, the descent runs on the
 pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
 x * 2**-E mod a (|x| <= a), takes a long first run as one 2-adic division,
-puts v in [0, a-1] once after the loop by 2-adic Montgomery reduction and
+puts v in [0, a-1] by 2-adic Montgomery reduction, 256 twos a step, and
 recovers u by one exact division.  ``div1`` and ``div2`` are the paper's
 halving steps on (c, v) and (u, v, c); the tests check the kernel on both.
 
@@ -69,6 +69,8 @@ _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256
 # i^-1 mod 256 for each odd byte i (0 at the even ones, which are never read)
 _INVERSES = tuple(pow(i, -1, 256) if i & 1 else 0 for i in range(256))
 
+_WORD = (1 << 256) - 1
+
 
 def _require_positive(a: int, b: int = 1) -> None:
     if a < 1:
@@ -128,31 +130,14 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
 def _inverse(a: int, k: int) -> int:
     """a^-1 mod 2**j for odd a, j >= k a power-of-two multiple of 8.
 
-    The byte table gives 8 bits, and each Newton step inv*(2 - a*inv),
-    cut to j bits, doubles them.  Only the low j bits of a matter.
+    The byte table gives 8 bits and each Newton step inv*(2 - a*inv), cut
+    to j bits, doubles them.  Only a's low j bits matter; more only slows it.
     """
     inv, j = _INVERSES[a & 255], 8
     while j < k:
         j <<= 1
         inv = inv * (2 - a * inv) & (1 << j) - 1
     return inv
-
-
-def _unscale(x: int, e: int, a: int) -> int:
-    """x * 2**-e mod a for odd a >= 1, by word-wise 2-adic Montgomery reduction.
-
-    Each step takes one word of s <= 256 twos: with m = 2**s - 1 and
-    inv = a^-1 mod 2**s, x + (-(x & m)*inv & m)*a is divisible by 2**s and
-    the quotient is x * 2**-s mod a.  ceil(e/256) steps remove all e twos
-    and shrink x to about the size of a; one % a puts it in [0, a-1].
-    """
-    inv = _inverse(a & (1 << 256) - 1, 256)
-    while e:
-        s = min(e, 256)
-        m = (1 << s) - 1
-        x = (x + ((-(x & m) * inv) & m) * a) >> s
-        e -= s
-    return x % a
 
 
 def _descent(
@@ -176,8 +161,9 @@ def _descent(
     division: with k = bitlen(c2) - bitlen(c1) - 2 no swap falls in its
     first k halvings, whose subtractions sit at the set bits of
     q = c2 / c1 mod 2**k, so c2 -= q*c1 and x2 -= q*x1 skip them.
-    v = x * 2**-E mod a by 2-adic Montgomery reduction: one word inline
-    for E <= 256, _unscale above.  v gives u.
+    v = x * 2**-E mod a by 2-adic Montgomery reduction with one
+    inv = a^-1 mod 2**min(E, 256), 256 twos a step; each whole word adds
+    m*a with m >= 0, which leaves x >= 0, so & reads only x's low word.
     """
     tz = _TRAILING_ZEROS
     r = b % a
@@ -225,10 +211,11 @@ def _descent(
         if trace is not None:
             trace.append((c1, c2))
     x, c = (x1, c1) if c1 else (x2, c2)
-    if e > 256:
-        v = _unscale(x, e, a)
-    else:
-        v = (x - (x * _inverse(a, e) & (1 << e) - 1) * a >> e) % a
+    inv = _inverse(a, e) if e < 256 else _inverse(a & _WORD, 256)
+    while e > 256:
+        x = (x + (-(x & _WORD) * inv & _WORD) * a) >> 256
+        e -= 256
+    v = (x - (x * inv & (1 << e) - 1) * a >> e) % a
     return (c - v * b) // a, v, c
 
 

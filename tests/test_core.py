@@ -5,14 +5,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from normgcd import core
 from normgcd.baselines import binary_gcd_steps
 from normgcd.core import (
     BezoutTriple,
     NormalState,
     NotRepresentableError,
     _inverse,
-    _unscale,
     canonical_min_v,
     div1,
     div2,
@@ -369,7 +367,8 @@ def _odd_pairs(bits, shared, count):
         (45, 75),
         *_odd_pairs(2048, 1, 3),
         *_odd_pairs(2048, 105, 3),
-        # E is about 5700 here, so _unscale reduces x in 23 words
+        # E is about 5700 here: the tail takes 22 whole words and a last
+        # partial one
         *_odd_pairs(4096, 1, 1),
         *_odd_pairs(4096, 105, 1),
     ],
@@ -416,40 +415,6 @@ def test_long_runs_of_twos_match_reference(t, shared):
         g = math.gcd(a, b)
         assert binary_gcd_steps(*trace[0]) == (g, len(trace) - 1)
         assert binary_gcd_steps(a, b)[0] == g
-
-
-@pytest.mark.parametrize("e", [0, 1, 5, 6, 255, 256, 257, 511, 512, 513, 4096])
-def test_unscale_word_boundaries(e):
-    # Newton lifts a^-1 past 5 bits from e = 6, and the reduction takes one
-    # word more at every multiple of 256
-    rng = random.Random(e)
-    for a in (
-        1,
-        3,
-        2**256 - 1,
-        2**256 + 1,
-        rng.getrandbits(2048) | 1 | 2**2047,
-        rng.getrandbits(8192) | 1 | 2**8191,
-    ):
-        wide = rng.getrandbits(e + 300) | 1 << e + 299
-        for x in (0, 1, -1, a, -a, wide, -wide, (wide >> 300) ^ 1, -(1 << e)):
-            assert _unscale(x, e, a) == x * pow(2, -e, a) % a
-
-
-@st.composite
-def unscale_cases(draw):
-    e = draw(st.integers(0, 6000))
-    a = draw(st.one_of(st.just(1), st.integers(0, 2**4200).map(lambda n: 2 * n + 1)))
-    hi = draw(st.integers(-(2**64), 2**64))
-    x = (hi << e) + draw(st.integers(-(2**64), 2**64))
-    return x, e, a
-
-
-@given(unscale_cases())
-def test_unscale_is_x_times_inverse_power_of_two(case):
-    # the kernel's one reduction, wide x of either sign included
-    x, e, a = case
-    assert _unscale(x, e, a) == x * pow(2, -e, a) % a
 
 
 # --- ext_gcd ----------------------------------------------------------------
@@ -650,45 +615,47 @@ def test_untraced_paths_return_what_the_full_descent_returns(pair):
                 solve(x, y)
 
 
-# --- the tail: v = x * 2**-E mod a, one word inline, whole words by _unscale --
+# --- the tail: v = x * 2**-E mod a, by Montgomery words of 256 twos -------
 
 
 def _scaled_survivor(a, b):
     """The (x, E) that wwl2's descent of (a, b) hands its tail, by the plain
     loop: one subtraction and one halving at a time, no table and no long
-    first-run step, stopping when c1 reaches 1 or 0."""
+    first-run step, stopping when c1 reaches 1 or 0.
+
+    Checks the bound README and _descent state on the way: the rows keep
+    |x1*c2 - x2*c1| = a through every step, and the survivor has |x| <= a.
+    """
+
+    def step(c1, x1, c2, x2, e):
+        assert abs(x1 * c2 - x2 * c1) == a
+        return c1, x1, c2, x2, e
+
     r = b % a
-    c1, x1, c2, x2, e = r, 1, a - r, -1, 0
+    c1, x1, c2, x2, e = step(r, 1, a - r, -1, 0)
     while c1 and c1 % 2 == 0:
-        c1, x2, e = c1 // 2, 2 * x2, e + 1
+        c1, x1, c2, x2, e = step(c1 // 2, x1, c2, 2 * x2, e + 1)
     while c2 % 2 == 0:
-        c2, x1, e = c2 // 2, 2 * x1, e + 1
+        c1, x1, c2, x2, e = step(c1, 2 * x1, c2 // 2, x2, e + 1)
     if c2 < c1:
-        c1, c2, x1, x2 = c2, c1, x2, x1
+        c1, x1, c2, x2, e = step(c2, x2, c1, x1, e)
     while c1 > 1:
-        c2, x2 = c2 - c1, x2 - x1
+        c1, x1, c2, x2, e = step(c1, x1, c2 - c1, x2 - x1, e)
         while c2 and c2 % 2 == 0:
-            c2, x1, e = c2 // 2, 2 * x1, e + 1
+            c1, x1, c2, x2, e = step(c1, 2 * x1, c2 // 2, x2, e + 1)
         if c2 < c1:
-            c1, c2, x1, x2 = c2, c1, x2, x1
-    return (x1 if c1 else x2), e
+            c1, x1, c2, x2, e = step(c2, x2, c1, x1, e)
+    x = x1 if c1 else x2
+    assert abs(x) <= a
+    return x, e
 
 
 def assert_tail(a, b):
-    """wwl2's v is x * 2**-E mod a, by the inline word up to E = 256 and by
-    _unscale above it; ext_gcd and wwl1 agree.  Returns E."""
+    """wwl2's v is x * 2**-E mod a for the plain loop's (x, E); ext_gcd and
+    wwl1 agree.  Returns E."""
     x, e = _scaled_survivor(a, b)
-    seen = []
-
-    def spy(x, e, a):
-        seen.append(e)
-        return _unscale(x, e, a)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_unscale", spy)
-        t = wwl2(a, b)
+    t = wwl2(a, b)
     assert t.v == x * pow(2, -e, a) % a
-    assert seen == ([e] if e > 256 else [])
     assert ext_gcd(a, b) == t and type(t) is BezoutTriple
     assert [type(n) for n in t] == [int, int, int]
     if t.g == 1:
@@ -718,6 +685,66 @@ def test_tail_on_each_side_of_the_word(a, b, g, e):
     assert math.gcd(a, b) == g
     assert assert_tail(a, b) == e
     assert_descents_match_reference(a, b)
+
+
+def _pair_with_e(e, g, unbalanced):
+    """A pair with gcd g whose descent hands the tail exactly E = e, found by
+    a seeded search with _scaled_survivor.  Unbalanced pairs have a 20-bit
+    b / g, so wwl2 takes their first run as one step."""
+    rng = random.Random(2 * e + unbalanced)
+    bits = e - 8 if unbalanced else round(e / 1.41)
+    while True:
+        a = rng.getrandbits(bits) | 1 << bits - 1 | 1
+        b = rng.getrandbits(20) | 1 << 19 if unbalanced else rng.randrange(1, a)
+        if math.gcd(a, b) == 1 and _scaled_survivor(g * a, g * b)[1] == e:
+            return g * a, g * b
+
+
+@pytest.mark.parametrize("unbalanced", [False, True], ids=["balanced", "unbalanced"])
+@pytest.mark.parametrize("e", [255, 256, 257, 511, 512, 513, 768, 769])
+def test_tail_at_each_word_boundary(e, unbalanced):
+    # E = 256k - 1, 256k and 256k + 1 leave 255, 256 and 1 twos to the last
+    # step, after k - 1, k - 1 and k whole words
+    for g in (1, 105):
+        a, b = _pair_with_e(e, g, unbalanced)
+        assert assert_tail(a, b) == e
+        assert ext_gcd(a, b).g == g
+
+
+@pytest.mark.parametrize(
+    "a,d",
+    [(1, 1), (3, 3), (2**256 - 1, 255), (2**256 + 1, 1238926361552897), (2**512 + 1, 2424833)],
+)
+def test_tail_when_the_low_word_of_a_is_special(a, d):
+    # a^-1 is lifted from a's low word alone: a itself, all ones, or 1 for
+    # 2**256 + 1 and 2**512 + 1.  d divides a, so the last pair has g = d.
+    # E passes 256 only once a is a word wide; a = 1 and 3 stop at E <= 1
+    rng = random.Random(a)
+    wide = (rng.getrandbits(20) | 1 << 19, rng.randrange(1, 3 * a), d * rng.randrange(1, a + 1))
+    es = [assert_tail(a, b) for b in (1, 2, *wide)]
+    assert ext_gcd(a, wide[2]).g == d
+    if a.bit_length() >= 256:
+        assert min(es[2:]) > 256
+
+
+@pytest.mark.parametrize("g", [1, 105])
+@pytest.mark.parametrize("bits", [2048, 8192])
+def test_tail_on_wide_a(bits, g):
+    # balanced and 64-bit b: E passes the bits of a, so the loop takes
+    # bits / 256 or more whole words
+    rng = random.Random(bits + g)
+    a = rng.getrandbits(bits) | 1 << bits - 1 | 1
+    for b in (rng.randrange(1, a), rng.getrandbits(64) | 1 << 63):
+        assert assert_tail(g * a, g * b) > bits
+
+
+@given(
+    a=st.integers(2**255, 2**1600).map(lambda n: 2 * n + 1),
+    b=st.integers(1, 2**1600),
+    k=st.sampled_from([1, 3, 105]),
+)
+def test_tail_over_many_words_is_x_times_inverse_power_of_two(a, b, k):
+    assert_tail(a * k, b * k)
 
 
 @pytest.mark.parametrize("b", [1, 2, 7, 2**64 + 3, 2**300])
