@@ -159,8 +159,9 @@ def _descent(
     low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.  Untraced,
     a first run with c2 12 or more bits longer than c1 is one exact 2-adic
     division: with k = bitlen(c2) - bitlen(c1) - 2 no swap falls in its
-    first k halvings, whose subtractions sit at the set bits of
-    q = c2 / c1 mod 2**k, so c2 -= q*c1 and x2 -= q*x1 skip them.
+    first k halvings, whose subtractions sit at the set bits of the odd
+    q = c2 / c1 mod 2**k (both c are odd).  c2 -= (q-1)*c1 and x2 -= (q-1)*x1
+    skip all but the last, which the loop makes with the shift and the swap.
     v = x * 2**-E mod a by 2-adic Montgomery reduction with one
     inv = a^-1 mod 2**min(E, 256), 256 twos a step; each whole word adds
     m*a with m >= 0, which leaves x >= 0, so & reads only x's low word.
@@ -186,16 +187,9 @@ def _descent(
         trace.append((c1, c2))
     elif c1 > stop and c2 >> 12 > c1:
         k = c2.bit_length() - c1.bit_length() - 2
-        q = c2 * _inverse(c1, k) & (1 << k) - 1
+        q = (c2 * _inverse(c1, k) & (1 << k) - 1) - 1
         c2 -= q * c1
         x2 -= q * x1
-        t = (c2 & -c2).bit_length() - 1
-        c2 >>= t
-        x1 <<= t
-        e += t
-        if c2 < c1:
-            c1, c2 = c2, c1
-            x1, x2 = x2, x1
     while c1 > stop:
         c2 -= c1
         x2 -= x1

@@ -615,6 +615,43 @@ def test_untraced_paths_return_what_the_full_descent_returns(pair):
                 solve(x, y)
 
 
+def test_first_run_step_on_every_small_pair():
+    # every odd a in [2**13, 2**17) against every b < 16: the untraced
+    # first-run step fires on about a third of these pairs, with k from 10
+    # to 13.  Each iteration at least halves c1*c2, which starts below
+    # 2**(bitlen(a) + bitlen(b)): that bounds the full descent's work
+    for a in range(2**13 + 1, 2**17, 2):
+        n = a.bit_length()
+        for b in range(1, 16):
+            triple, trace = wwl2_trace(a, b)
+            assert wwl2(a, b) == ext_gcd(a, b) == triple
+            assert len(trace) - 1 <= n + b.bit_length()
+
+
+def test_first_run_step_fires_only_untraced_and_on_long_runs(monkeypatch):
+    rng = random.Random(2048)
+    a = rng.getrandbits(2048) | 1 << 2047 | 1
+    short, balanced = rng.getrandbits(64) | 1 << 63, rng.randrange(1, a)
+    tail = (a & (1 << 256) - 1, 256)  # E > 256: the tail lifts a's low word
+    calls = []
+
+    def spy(n, k):
+        calls.append((n, k))
+        return _inverse(n, k)
+
+    def inverses(solve, b):
+        calls.clear()
+        solve(a, b)
+        return list(calls)
+
+    monkeypatch.setattr("normgcd.core._inverse", spy)
+    assert inverses(wwl2_trace, short) == [tail]
+    assert inverses(wwl2, balanced) == [tail]
+    # the 64-bit c1, lifted across the roughly 1980-bit run, then the tail
+    (c1, k), last = inverses(wwl2, short)
+    assert c1 < 2**64 and k > 1900 and last == tail
+
+
 # --- the tail: v = x * 2**-E mod a, by Montgomery words of 256 twos -------
 
 
@@ -623,11 +660,13 @@ def _scaled_survivor(a, b):
     loop: one subtraction and one halving at a time, no table and no long
     first-run step, stopping when c1 reaches 1 or 0.
 
-    Checks the bound README and _descent state on the way: the rows keep
-    |x1*c2 - x2*c1| = a through every step, and the survivor has |x| <= a.
+    Checks what README and _descent state on the way: every row keeps
+    x*b = c*2**E mod a, so its v is x * 2**-E mod a; the rows keep
+    |x1*c2 - x2*c1| = a through every step; and the survivor has |x| <= a.
     """
 
     def step(c1, x1, c2, x2, e):
+        assert (x1 * b - (c1 << e)) % a == 0 and (x2 * b - (c2 << e)) % a == 0
         assert abs(x1 * c2 - x2 * c1) == a
         return c1, x1, c2, x2, e
 
