@@ -15,6 +15,7 @@ which loads ``baselines``; ``verify`` and ``bench`` import the oracle and
 the benchmark harness when they run.
 """
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -110,3 +111,12 @@ def run(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
     print(message, file=sys.stderr)
     return EX_DOMAIN
+
+
+def main() -> int:
+    """``run()`` for a process that exits next (``python -m normgcd`` and the
+    ``normgcd`` script): the heap is frozen after it, so the interpreter's
+    shutdown collections skip it.  In-process callers keep ``run``."""
+    code = run()
+    gc.freeze()
+    return code

@@ -8,8 +8,8 @@ divisions with subtractions and halvings.
 Since v determines u through u = (c - v*b) / a, the descent runs on the
 pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
 x * 2**-E mod a (|x| <= a), takes a long first run as one 2-adic division,
-puts v in [0, a-1] by 2-adic Montgomery reduction, 256 twos a step, and
-recovers u by one exact division.  ``div1`` and ``div2`` are the paper's
+puts v in [0, a-1] by 2-adic Montgomery reduction, _W = 256 twos a step,
+and recovers u by one exact division.  ``div1`` and ``div2`` are the paper's
 halving steps on (c, v) and (u, v, c); the tests check the kernel on both.
 
 ``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
@@ -69,7 +69,9 @@ _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256
 # i^-1 mod 256 for each odd byte i (0 at the even ones, which are never read)
 _INVERSES = tuple(pow(i, -1, 256) if i & 1 else 0 for i in range(256))
 
-_WORD = (1 << 256) - 1
+# the width of the Montgomery tail's word: a power-of-two multiple of 8
+_W = 256
+_WORD = (1 << _W) - 1
 
 
 def _require_positive(a: int, b: int = 1) -> None:
@@ -149,22 +151,37 @@ def _descent(
     each halved to its odd part, and keeps c1 <= c2.  Each iteration
     replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
     odd part.  Runs while c1 > stop and returns (u, v, c), c the survivor:
-    gcd(a, b), or 1 when stop = 1 and the pair is coprime (the v of c1 = 1
-    is the one c1 = 0 would leave: a has one normalizer of 1).  A trace
-    list gets (c1, c2) at loop entry and after every iteration.
+    gcd(a, b), or 1 when stop = 1 and the pair is coprime.  A trace list
+    gets (c1, c2) at loop entry and after every iteration.
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
     shift, x1 takes the 2**t, and |x1*c2 - x2*c1| = a keeps |x| <= a.
     Each run t is read from c2's low byte by _TRAILING_ZEROS; only a zero
-    low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.  Untraced,
-    a first run with c2 12 or more bits longer than c1 is one exact 2-adic
-    division: with k = bitlen(c2) - bitlen(c1) - 2 no swap falls in its
-    first k halvings, whose subtractions sit at the set bits of the odd
-    q = c2 / c1 mod 2**k (both c are odd).  c2 -= (q-1)*c1 and x2 -= (q-1)*x1
-    skip all but the last, which the loop makes with the shift and the swap.
-    v = x * 2**-E mod a by 2-adic Montgomery reduction with one
-    inv = a^-1 mod 2**min(E, 256), 256 twos a step; each whole word adds
-    m*a with m >= 0, which leaves x >= 0, so & reads only x's low word.
+    low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.
+
+    Three shortcuts skip states of the full descent; each is exact.
+    - Stop at c1 = 1 (stop = 1).  Every c is a multiple of g = gcd(a, b),
+      so a pair with g > 1 never reaches 1 and runs on to c1 = 0.  A
+      coprime pair has one normalizer of 1 in [0, a-1]: the v of c1 = 1
+      is the v of the survivor 1 that running on to c1 = 0 would leave.
+    - The first run as one step (untraced; c2 12 or more bits longer than
+      c1).  With c1 fixed, c2 after T halvings is (c2 - Q*c1) / 2**T with
+      Q < 2**T the sum of 2**i, i the halvings made before each
+      subtraction; that exceeds 2**(L2-1-T) - c1 > c1 for every
+      T <= k = L2 - L1 - 2 (L the bit lengths), so no swap falls in the
+      first k halvings.  Their subtractions are thus the set bits of the
+      one Q < 2**k with c2 = Q*c1 mod 2**k: q = c2 * c1^-1 mod 2**k, odd
+      since both c are.  c2 -= (q-1)*c1 and x2 -= (q-1)*x1 make all but
+      the last, which the loop (c1 > stop, so it runs) makes with its own
+      shift and swap.
+    - Montgomery words in the tail.  v = x * 2**-E mod a with one
+      inv = a^-1 mod 2**min(E, _W): each whole word adds m*a with
+      m = -x*inv mod 2**_W, so x + m*a is a multiple of 2**_W and the shift
+      is exact and multiplies x by 2**-_W mod a; the 0 to _W twos left go
+      the same way, then % a.  The sign of x does not change the value
+      (& reads two's complement), only the cost: & copies a negative int
+      whole.  As m >= 0 and x >= -a, x is >= 0 from the first word with
+      m > 0 on, and & then reads only x's low word.
     """
     tz = _TRAILING_ZEROS
     r = b % a
@@ -205,10 +222,10 @@ def _descent(
         if trace is not None:
             trace.append((c1, c2))
     x, c = (x1, c1) if c1 else (x2, c2)
-    inv = _inverse(a, e) if e < 256 else _inverse(a & _WORD, 256)
-    while e > 256:
-        x = (x + (-(x & _WORD) * inv & _WORD) * a) >> 256
-        e -= 256
+    inv = _inverse(a, e) if e < _W else _inverse(a & _WORD, _W)
+    while e > _W:
+        x = (x + (-(x & _WORD) * inv & _WORD) * a) >> _W
+        e -= _W
     v = (x - (x * inv & (1 << e) - 1) * a >> e) % a
     return (c - v * b) // a, v, c
 

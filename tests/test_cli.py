@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -22,15 +23,19 @@ from normgcd.oracle import Failure, VerificationReport
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args: str):
+def run_python(*args: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "normgcd", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_cli(*args: str):
+    return run_python("-m", "normgcd", *args)
 
 
 # --- extgcd -----------------------------------------------------------------
@@ -446,3 +451,72 @@ def test_bench_unwritable_output_exits_2(tmp_path):
 def test_usage_errors_exit_64(argv):
     out = run_cli(*argv)
     assert out.returncode == 64
+
+
+# --- process entry point ---------------------------------------------------------
+# main() freezes the heap it runs in, so it runs only in child processes here:
+# pytest's own heap must stay collectable.
+
+ENTRY_ARGVS = [
+    (("extgcd", "240", "-46"), 0),
+    (("extgcd", "0", "0", "--canonical"), 2),
+    (("extgcd", "5"), 64),
+    (("gcd", "--help"), 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_ARGVS)
+def test_run_leaves_the_heap_unfrozen(argv, code, capsys):
+    before = gc.get_freeze_count()
+    assert cli.run(list(argv)) == code
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_ARGVS)
+def test_main_returns_the_code_of_run_and_freezes_the_heap(argv, code):
+    out = run_python(
+        "-c",
+        "import gc, sys\n"
+        "from normgcd import cli\n"
+        f"sys.argv = ['normgcd', *{list(argv)!r}]\n"
+        "before = gc.get_freeze_count()\n"
+        "code = cli.main()\n"
+        "print('main', code, before, gc.get_freeze_count() > 0)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"main {code} 0 True"
+
+
+def test_atexit_handlers_run_after_main():
+    # main must return, not end the process with os._exit: profilers and
+    # coverage write their output from atexit handlers
+    out = run_python(
+        "-c",
+        "import atexit, sys\n"
+        "from normgcd import cli\n"
+        "atexit.register(print, 'atexit ran')\n"
+        "sys.argv = ['normgcd', 'extgcd', '240', '-46']\n"
+        "sys.exit(cli.main())\n"
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "14 73 2\natexit ran\n", "")
+
+
+def test_python_m_normgcd_runs_main():
+    out = run_cli("extgcd", "240", "-46")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "14 73 2\n", "")
+    # the heap is frozen by the time the interpreter exits, so __main__ ran main
+    out = run_python(
+        "-c",
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['normgcd', 'extgcd', '240', '-46']\n"
+        "runpy.run_module('normgcd', run_name='__main__', alter_sys=True)\n"
+    )
+    assert (out.returncode, out.stdout) == (0, "14 73 2\nfrozen True\n"), out.stderr
+
+
+def test_console_script_is_main():
+    # read as text: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text()
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["normgcd", "=", '"normgcd.cli:main"']

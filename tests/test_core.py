@@ -628,6 +628,30 @@ def test_first_run_step_on_every_small_pair():
             assert len(trace) - 1 <= n + b.bit_length()
 
 
+def test_tail_with_an_8_bit_word_on_every_small_pair(monkeypatch):
+    # every odd a < 2**10 against every b < 2**10.  With _W = 8 the tail
+    # takes E (at most 17 here) as up to two whole words and a partial one,
+    # and wwl2 takes a whole word on 46% of the pairs; with _W = 256 it takes
+    # one partial step, an independent route to the same v.  The descent is
+    # checked on its own too, with the work bound of
+    # test_first_run_step_on_every_small_pair
+    def word(w):
+        monkeypatch.setattr("normgcd.core._W", w)
+        monkeypatch.setattr("normgcd.core._WORD", (1 << w) - 1)
+
+    bs = range(1, 2**10)
+    for a in range(1, 2**10, 2):
+        word(256)
+        wide = [(wwl2(a, b), wwl2_trace(a, b)) for b in bs]
+        word(8)
+        n = a.bit_length()
+        for b, (triple, (traced, trace)) in zip(bs, wide):
+            assert wwl2(a, b) == triple == traced == wwl2_trace(a, b)[0]
+            u, v, g = triple
+            assert u * a + v * b == g == math.gcd(a, b) and 0 <= v < a
+            assert len(trace) - 1 <= n + b.bit_length()
+
+
 def test_first_run_step_fires_only_untraced_and_on_long_runs(monkeypatch):
     rng = random.Random(2048)
     a = rng.getrandbits(2048) | 1 << 2047 | 1
