@@ -1,12 +1,7 @@
-import contextlib
 import gc
-import io
 import json
 import math
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -20,22 +15,11 @@ from normgcd.bench import CorpusSpec, generate_corpus
 from normgcd.core import ext_gcd
 from normgcd.oracle import Failure, VerificationReport
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_python(*args: str):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+import procs
 
 
 def run_cli(*args: str):
-    return run_python("-m", "normgcd", *args)
+    return procs.python("-m", "normgcd", *args)
 
 
 # --- extgcd -----------------------------------------------------------------
@@ -109,25 +93,18 @@ operands = st.builds(
 )
 
 
-def _run_in_process(*argv: str):
-    # Hypothesis rejects function-scoped fixtures such as capsys
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.run(list(argv))
-    return code, out.getvalue()
-
-
 @given(x=operands, y=operands)
 def test_extgcd_prints_the_library_triple(x, y):
     (a, text_a), (b, text_b) = x, y
     t = ext_gcd(a, b)
-    assert _run_in_process("extgcd", text_a, text_b) == (0, f"{t.u} {t.v} {t.g}\n")
+    # procs.run, not capsys: Hypothesis rejects function-scoped fixtures
+    assert procs.run(["extgcd", text_a, text_b]) == (0, f"{t.u} {t.v} {t.g}\n", "")
 
 
 @given(x=operands, y=operands)
 def test_extgcd_canonical_is_a_normalized_solution(x, y):
     (a, text_a), (b, text_b) = x, y
-    code, out = _run_in_process("extgcd", text_a, text_b, "--canonical")
+    code, out, _ = procs.run(["extgcd", text_a, text_b, "--canonical"])
     if a == b == 0:
         assert code == 2
         return
@@ -285,11 +262,9 @@ def test_help_exits_zero(argv):
 
 
 def test_gcd_help_lists_the_table_names():
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.run(["gcd", "--help"])
+    code, out, _ = procs.run(["gcd", "--help"])
     assert code == 0
-    assert "{euclid,binary,mixed,wwl2}" in buf.getvalue()
+    assert "{euclid,binary,mixed,wwl2}" in out
 
 
 # --- normalizer ----------------------------------------------------------------
@@ -474,7 +449,7 @@ def test_run_leaves_the_heap_unfrozen(argv, code, capsys):
 
 @pytest.mark.parametrize("argv,code", ENTRY_ARGVS)
 def test_main_returns_the_code_of_run_and_freezes_the_heap(argv, code):
-    out = run_python(
+    out = procs.python(
         "-c",
         "import gc, sys\n"
         "from normgcd import cli\n"
@@ -490,7 +465,7 @@ def test_main_returns_the_code_of_run_and_freezes_the_heap(argv, code):
 def test_atexit_handlers_run_after_main():
     # main must return, not end the process with os._exit: profilers and
     # coverage write their output from atexit handlers
-    out = run_python(
+    out = procs.python(
         "-c",
         "import atexit, sys\n"
         "from normgcd import cli\n"
@@ -505,7 +480,7 @@ def test_python_m_normgcd_runs_main():
     out = run_cli("extgcd", "240", "-46")
     assert (out.returncode, out.stdout, out.stderr) == (0, "14 73 2\n", "")
     # the heap is frozen by the time the interpreter exits, so __main__ ran main
-    out = run_python(
+    out = procs.python(
         "-c",
         "import atexit, gc, runpy, sys\n"
         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
@@ -517,6 +492,6 @@ def test_python_m_normgcd_runs_main():
 
 def test_console_script_is_main():
     # read as text: Python 3.10 has no tomllib
-    text = (SRC.parent / "pyproject.toml").read_text()
+    text = (procs.SRC.parent / "pyproject.toml").read_text()
     scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.split() == ["normgcd", "=", '"normgcd.cli:main"']

@@ -14,11 +14,10 @@ Runs without pytest, so any interpreter can be checked:
 
 import os
 import subprocess
-import sys
 import tempfile
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import procs
+
 FULL_DEVICE = "/dev/full"
 
 COMMANDS = [
@@ -43,19 +42,11 @@ def _full_device() -> int:
 
 
 def _run(argv: list[str], open_stdout, unbuffered: bool) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    # an empty PYTHONUNBUFFERED counts as unset
+    env = dict(os.environ, PYTHONUNBUFFERED="1" if unbuffered else "")
     fd = open_stdout()
     try:
-        return subprocess.run(
-            [sys.executable, "-m", "normgcd", *argv],
-            stdout=fd,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        return procs.python("-m", "normgcd", *argv, stdout=fd, env=env)
     finally:
         os.close(fd)
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from normgcd.baselines import binary_gcd_steps
@@ -605,10 +605,16 @@ def test_untraced_paths_return_what_the_full_descent_returns(pair):
     out = wwl2(x, y)
     assert out == triple
     assert type(out) is BezoutTriple and [type(n) for n in out] == [int, int, int]
-    # the traced descent never stops early: it ends at (0, g), g > 1 included
+    # the traced descent never stops early: it ends at (0, g), g > 1 included,
+    # and each iteration at least halves c1*c2, which starts below 2**(n_x + n_y)
     assert trace[-1] == (0, triple.g)
+    assert len(trace) - 1 <= x.bit_length() + y.bit_length()
     if triple.g == 1:
-        assert wwl1(x, y) == wwl1_trace(x, y)[0] == triple[:2]
+        uv, trace1 = wwl1_trace(x, y)
+        assert wwl1(x, y) == uv == triple[:2]
+        # wwl1's trace is wwl2's up to the first state with c1 <= 1
+        cut = next(i for i, (c1, _) in enumerate(trace) if c1 <= 1)
+        assert trace1 == trace[: cut + 1]
     else:
         for solve in (wwl1, lambda a, b: wwl1_trace(a, b)[0]):
             with pytest.raises(ValueError, match=rf"= {triple.g}$"):

@@ -8,13 +8,13 @@ route (``build_parser().parse_args`` then ``args.func``) under the same
 exception handling.  Exit code, stdout and stderr must match.
 """
 
-import contextlib
-import io
 import itertools
 
 import pytest
 
 from normgcd import cli
+
+import procs
 
 FLAGS = ["--canonical", "--conormalizer"]
 BIG = "9" * 4999 + "7"
@@ -59,18 +59,11 @@ EDGE_ARGVS = [
 ARGVS = FLAG_ARGVS + OPERAND_ARGVS + EDGE_ARGVS
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: repr(argv)[:60])
 def test_reader_and_parser_agree(argv, monkeypatch):
-    front = _run(argv)
+    front = procs.run(argv)
     monkeypatch.setattr(cli, "_extgcd_args", lambda argv: None)
-    assert front == _run(argv)
+    assert front == procs.run(argv)
 
 
 class ParserCalled(Exception):
@@ -87,7 +80,7 @@ def test_reader_takes_only_operands_then_flags(monkeypatch):
     taken = []
     for argv in ARGVS:
         try:
-            _run(argv)
+            procs.run(argv)
         except ParserCalled:
             continue
         taken.append(argv)

@@ -15,14 +15,12 @@ golden with ``--dump``:
     PYTHONPATH=src python tests/test_help.py --dump > tests/data/help-3.13.txt
 """
 
-import contextlib
 import difflib
-import io
 import os
 import sys
 from pathlib import Path
 
-from normgcd import cli
+import procs
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / ("help-3.13.txt" if sys.version_info >= (3, 13) else "help-3.10.txt")
@@ -37,11 +35,9 @@ def dump():
     try:
         for command in COMMANDS:
             argv = [command, "--help"] if command else ["--help"]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(argv)
-            assert (code, err.getvalue()) == (0, ""), (argv, code, err.getvalue())
-            text.append(f"$ normgcd {' '.join(argv)}\n{out.getvalue()}")
+            code, out, err = procs.run(argv)
+            assert (code, err) == (0, ""), (argv, code, err)
+            text.append(f"$ normgcd {' '.join(argv)}\n{out}")
     finally:
         if columns is None:
             del os.environ["COLUMNS"]

@@ -1,37 +1,13 @@
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import normgcd
 from normgcd import baselines, bench, core, oracle
 
+import procs
+
 MODULES = (core, baselines, bench, oracle)
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_fresh(code: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    return out.stdout
-
-
-def run_no_site(code: str) -> str:
-    # -S: no site, so nothing but the package itself can load typing
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        check=True,
-    )
-    return out.stdout
 
 
 @pytest.mark.parametrize(
@@ -48,8 +24,14 @@ def test_clean_start_loads_no_typing(code, printed):
         "; import sys; "
         "print(sorted({'typing', '__future__', 'dataclasses', 'importlib'} & set(sys.modules)))"
     )
-    out = run_no_site(code + probe)
-    assert out.splitlines() == printed + ["[]"]
+    # -S: no site, so nothing but the package itself can load typing
+    out = procs.python("-S", "-c", code + probe, check=True)
+    assert out.stdout.splitlines() == printed + ["[]"]
+
+
+def _one_shot_loads(site_flags: list[str], argv: list[str], **kwargs) -> tuple[str, set[str]]:
+    out = procs.python(*site_flags, "-X", "importtime", "-m", "normgcd", *argv, **kwargs)
+    return out.stdout, {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
 
 
 @pytest.mark.parametrize(
@@ -60,39 +42,24 @@ def test_clean_start_loads_no_typing(code, printed):
 def test_no_site_one_shot_loads_no_typing(argv, printed):
     # the console path end to end: -m runs __main__, and -X importtime logs
     # every module the one-shot loads; verify loads the oracle as well
-    out = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", "-m", "normgcd", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        check=True,
-    )
-    assert re.fullmatch(printed, out.stdout)
-    loaded = {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
+    out, loaded = _one_shot_loads(["-S"], argv, check=True)
+    assert re.fullmatch(printed, out)
     assert "normgcd.core" in loaded
     assert not {"typing", "dataclasses"} & loaded
 
 
+def _normgcd_modules(code: str) -> list[str]:
+    """The normgcd modules a fresh interpreter has loaded after running code."""
+    probe = "; import sys; print(*sorted(m for m in sys.modules if m.startswith('normgcd')))"
+    return procs.python("-c", code + probe, check=True).stdout.split()
+
+
 def test_cli_import_loads_only_the_solver():
-    out = run_fresh(
-        "import sys, normgcd.cli; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('normgcd'))))"
-    )
-    assert out.split() == ["normgcd", "normgcd.cli", "normgcd.core"]
+    assert _normgcd_modules("import normgcd.cli") == ["normgcd", "normgcd.cli", "normgcd.core"]
 
 
 # what a one-shot must not load: the parser half of the CLI and what it pulls in
 PARSER_MODULES = {"argparse", "gettext", "locale", "normgcd.baselines", "normgcd._commands"}
-
-
-def _one_shot_loads(site_flags: list[str], argv: list[str]) -> tuple[str, set[str]]:
-    out = subprocess.run(
-        [sys.executable, *site_flags, "-X", "importtime", "-m", "normgcd", *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-    )
-    return out.stdout, {line.rpartition("|")[2].strip() for line in out.stderr.splitlines()}
 
 
 @pytest.mark.parametrize("site_flags", [[], ["-S"]], ids=["site", "no-site"])
@@ -124,11 +91,7 @@ def test_any_other_argv_loads_the_parser(argv):
 
 
 def test_bare_import_loads_only_core():
-    out = run_fresh(
-        "import sys, normgcd; "
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('normgcd'))))"
-    )
-    assert out.split() == ["normgcd", "normgcd.core"]
+    assert _normgcd_modules("import normgcd") == ["normgcd", "normgcd.core"]
 
 
 @pytest.mark.parametrize("name", [n for m in MODULES for n in m.__all__])

@@ -16,12 +16,12 @@ the CI workflow does:
     python "$CHECKOUT/tests/test_surface.py" | cmp - "$CHECKOUT/tests/data/surface.jsonl"
 """
 
-import contextlib
-import io
 import json
 from pathlib import Path
 
-from normgcd import baselines, cli, core
+from normgcd import baselines, core
+
+import procs
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "surface.jsonl"
 GRID = range(-3, 5)
@@ -48,10 +48,8 @@ def _call(fn, *args):
 
 def _run(*argv):
     argv = [str(x) for x in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    code, out, err = procs.run(argv)
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": err}
 
 
 def surface():
