@@ -5,12 +5,13 @@ coordinate stays inside [0, a-1].  That pins down a single representative
 per c (unique when gcd(a, b) = 1) and lets the descent replace Euclidean
 divisions with subtractions and halvings.
 
-Since v determines u through u = (c - v*b) / a, the descent runs on the
-pairs (c, v) alone.  The one kernel, ``_descent``, carries each v as
-x * 2**-E mod a (|x| <= a), takes a long first run as one 2-adic division,
-puts v in [0, a-1] by 2-adic Montgomery reduction, _W = 256 twos a step,
-and recovers u by one exact division.  ``div1`` and ``div2`` are the paper's
-halving steps on (c, v) and (u, v, c); the tests check the kernel on both.
+As v fixes u = (c - v*b) / a, the descent runs on the pairs (c, v) alone.
+The one kernel, ``_descent``, carries each v as x * 2**-E mod a (|x| <= a),
+takes a long first run as one 2-adic division, puts v in [0, a-1] by 2-adic
+Montgomery reduction, _W = 256 twos a step, and recovers u by one exact
+division.  Its a^-1 mod 2**j come from a byte table and Newton steps, with j
+and the mask tabled up to 256 and doubled past it.  ``div1`` and ``div2``,
+the paper's halving steps on (c, v) and (u, v, c), check the kernel in tests.
 
 ``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
 call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
@@ -68,6 +69,7 @@ _TRAILING_ZEROS = tuple((i & -i).bit_length() - 1 if i else 0 for i in range(256
 
 # i^-1 mod 256 for each odd byte i (0 at the even ones, which are never read)
 _INVERSES = tuple(pow(i, -1, 256) if i & 1 else 0 for i in range(256))
+_LIFT = tuple((j, (1 << j) - 1) for j in (16, 32, 64, 128, 256))
 
 # the width of the Montgomery tail's word: a power-of-two multiple of 8
 _W = 256
@@ -130,15 +132,20 @@ def div2(a: int, b: int, state: NormalState) -> NormalState:
 
 
 def _inverse(a: int, k: int) -> int:
-    """a^-1 mod 2**j for odd a, j >= k a power-of-two multiple of 8.
+    """a^-1 mod 2**j for odd a, j the least power of two >= max(k, 8).
 
-    The byte table gives 8 bits and each Newton step inv*(2 - a*inv), cut
-    to j bits, doubles them.  Only a's low j bits matter; more only slows it.
+    _INVERSES gives 8 bits and each Newton step inv*(2 - a*inv) & 2**j - 1
+    doubles them, j and the mask read from _LIFT up to 256 and doubled past.
     """
-    inv, j = _INVERSES[a & 255], 8
-    while j < k:
-        j <<= 1
-        inv = inv * (2 - a * inv) & (1 << j) - 1
+    inv = _INVERSES[a & 255]
+    if k > 8:
+        for j, mask in _LIFT:
+            inv = inv * (2 - a * inv) & mask
+            if j >= k:
+                return inv
+        while j < k:
+            j <<= 1
+            inv = inv * (2 - a * inv) & (1 << j) - 1
     return inv
 
 
@@ -221,7 +228,8 @@ def _descent(
             x1, x2 = x2, x1
         if trace is not None:
             trace.append((c1, c2))
-    x, c = (x1, c1) if c1 else (x2, c2)
+    x = x1 if c1 else x2
+    c = c1 or c2
     inv = _inverse(a, e) if e < _W else _inverse(a & _WORD, _W)
     while e > _W:
         x = (x + (-(x & _WORD) * inv & _WORD) * a) >> _W

@@ -827,10 +827,12 @@ def test_tail_when_a_is_one(b):
 def test_inverse_and_tail_for_every_odd_low_byte(low):
     rng = random.Random(low)
     for a in (low, low + (rng.getrandbits(120) << 8), low + (rng.getrandbits(3000) << 8)):
-        for k in (0, 1, 7, 8, 9, 16, 17, 64, 65, 256, 257, 2048, 5000):
-            inv = _inverse(a, k)
-            assert inv * a % 2**k == 1 % 2**k
-            assert 0 <= inv < 2 ** max(8, 2 * k)
+        # each table row's width, one below it and one above it, and the
+        # doubling past 256 bits
+        for k in (0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128,
+                  129, 255, 256, 257, 511, 512, 513, 2048, 5000):
+            j = max(8, 1 << (k - 1).bit_length())
+            assert _inverse(a, k) == pow(a, -1, 1 << j)
     for bits in (8, 64, 200):
         a = low + (rng.getrandbits(bits) << 8)
         assert_tail(a, rng.randrange(1, 3 * a))
