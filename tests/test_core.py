@@ -47,13 +47,6 @@ def test_normalize_solution_examples(a, b, u, v, expected):
     assert normalize_solution(a, b, u, v) == expected
 
 
-def test_normalize_solution_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        normalize_solution(0, 7, 1, 1)
-    with pytest.raises(ValueError):
-        normalize_solution(-3, 7, 1, 1)
-
-
 @given(a=positive, b=signed, u=signed, v=signed)
 def test_normalize_solution_contract(a, b, u, v):
     state = normalize_solution(a, b, u, v)
@@ -75,13 +68,6 @@ def test_normalize_solution_contract(a, b, u, v):
 )
 def test_div1_examples(a, c, v, expected):
     assert div1(a, c, v) == expected
-
-
-def test_div1_rejects_even_or_nonpositive_a():
-    with pytest.raises(ValueError):
-        div1(4, 2, 1)
-    with pytest.raises(ValueError):
-        div1(0, 2, 1)
 
 
 def test_div1_zero_c_keeps_v():
@@ -153,28 +139,12 @@ def test_wwl1_examples(a, b, expected):
 
 
 def test_wwl1_rejections():
-    with pytest.raises(ValueError):
-        wwl1(4, 7)  # even a
-    with pytest.raises(ValueError):
-        wwl1(9, 6)  # gcd 3
-    with pytest.raises(ValueError):
-        wwl1(-5, 7)
-    with pytest.raises(ValueError):
-        wwl1(5, 0)
     for solve in (wwl1, wwl1_trace):
         # the gcd named is the survivor of the descent; (9, 27) and (15, 15)
         # have a | b, so it is the seed a - 0 that never moves
         for a, b, g in [(9, 6, 3), (9, 27, 9), (15, 15, 15), (57795, 34835, 5)]:
             message = rf"^operands must be coprime, got gcd\({a}, {b}\) = {g}$"
             with pytest.raises(ValueError, match=message):
-                solve(a, b)
-        # operand checks come before the descent
-        for a, b, message in [
-            (4, 6, "first operand must be odd, got 4"),
-            (0, 6, "first operand must be positive, got 0"),
-            (9, 0, "second operand must be positive, got 0"),
-        ]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
                 solve(a, b)
 
 
@@ -220,17 +190,6 @@ def test_wwl1_is_wwl2_on_coprime_pairs(a, b):
 )
 def test_wwl2_examples(a, b, expected):
     assert wwl2(a, b) == expected
-
-
-def test_wwl2_rejections():
-    with pytest.raises(ValueError):
-        wwl2(6, 9)
-    with pytest.raises(ValueError):
-        wwl2(0, 9)
-    with pytest.raises(ValueError):
-        wwl2(9, 0)
-    with pytest.raises(ValueError):
-        wwl2(9, -3)
 
 
 @given(a=odd_positive, b=positive)
@@ -855,13 +814,6 @@ def test_normalizer_examples():
     assert normalizer_of(5, 7, 0) == (0, 0)
     with pytest.raises(NotRepresentableError):
         normalizer_of(4, 6, 3)
-
-
-def test_normalizer_rejects_bad_operands():
-    with pytest.raises(ValueError):
-        normalizer_of(0, 6, 2)
-    with pytest.raises(ValueError):
-        normalizer_of(4, 0, 2)
 
 
 @given(a=small_positive, b=small_positive, k=st.integers(-500, 500))

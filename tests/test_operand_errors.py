@@ -3,8 +3,8 @@
 Four rule sets, each checked in this order and stopping at the first rule
 broken: the odd-first solvers take a > 0, then a odd, then b > 0; ``div1``
 and ``div2`` take a > 0, then a odd, and ignore b; ``normalizer_of`` takes
-a > 0, then b > 0; ``normalize_solution`` takes a > 0 only.  The rows with
-two broken rules pin that order.
+a > 0, then b > 0; ``normalize_solution`` and ``oracle.brute_normalizer``
+take a > 0 only.  The rows with two broken rules pin that order.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from normgcd.core import (
     wwl2,
     wwl2_trace,
 )
+from normgcd.oracle import brute_normalizer
 
 # each entry point called on (a, b), with its other arguments fixed
 ODD_FIRST = {
@@ -34,7 +35,10 @@ ODD_A = {
     "div2": lambda a, b: div2(a, b, NormalState(0, 1, 2)),
 }
 BOTH_POSITIVE = {"normalizer_of": lambda a, b: normalizer_of(a, b, 1)}
-POSITIVE_A = {"normalize_solution": lambda a, b: normalize_solution(a, b, 1, 1)}
+POSITIVE_A = {
+    "normalize_solution": lambda a, b: normalize_solution(a, b, 1, 1),
+    "brute_normalizer": lambda a, b: brute_normalizer(a, b, 1),
+}
 
 # (a, b): the message of each rule set, in the order above; None accepts
 TABLE = {
@@ -100,10 +104,14 @@ def test_operand_error(fn, a, b, message):
         (["bench", "--out", "r.csv", "--seed", "0X7"], "--seed", "0X7"),
         (["bench", "--out", "r.csv", "--bits", "8,0x10"], "--bits", "0x10"),
         (["verify", "--max", "1_0"], "--max", "1_0"),
+        (["bench", "--out", "r.csv", "--count", "1_0"], "--count", "1_0"),
+        (["bench", "--out", "r.csv", "--seed", "\u0661"], "--seed", "\u0661"),
+        (["bench", "--out", "r.csv", "--bits", "8,1_6"], "--bits", "1_6"),
     ],
 )
 def test_option_values_take_no_hex(capsys, argv, option, value):
-    # operands take 0x-hex; option values take the same grammar without it
+    # operands take 0x-hex; option values take the same grammar without it,
+    # so ASCII decimal digits with no underscores
     assert cli.run(argv) == 64
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.endswith(f"error: argument {option}: not an integer: {value!r}")

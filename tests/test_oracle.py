@@ -22,11 +22,6 @@ def test_brute_normalizer_examples():
     assert brute_normalizer(4, 6, 3) is None
 
 
-def test_brute_normalizer_rejects_nonpositive_a():
-    with pytest.raises(ValueError):
-        brute_normalizer(0, 7, 1)
-
-
 def test_brute_normalizer_is_smallest():
     # a=4, b=6, c=4: both 0 and 2 solve; the scan must return 0
     assert brute_normalizer(4, 6, 4) == 0
