@@ -28,6 +28,7 @@ appends blocks and keeps these.  A pinned digest changes only with an
 output, and CHANGES.md says so.
 """
 
+import functools
 import hashlib
 import itertools
 import random
@@ -116,6 +117,7 @@ def _record(fn, args):
     return repr((fn.__name__, args, value)).encode()
 
 
+@functools.cache
 def blocks():
     """(first call, last call, hex digest) of each block of BLOCK calls."""
     out, todo = [], calls()
@@ -128,19 +130,36 @@ def blocks():
     return out
 
 
+def mismatch(i, got):
+    """The report line for block ``i``, or None if it matches its pin."""
+    first, last, digest = got[i]
+    if digest != DIGESTS[i]:
+        return f"block {i}: got {digest}, pinned {DIGESTS[i]}; from {first} to {last}"
+    return None
+
+
 def mismatches():
     """One line per block whose digest is not the pinned one."""
     got = blocks()
     lines = [f"{len(got)} blocks, {len(DIGESTS)} pinned"] if len(got) != len(DIGESTS) else []
-    for i, ((first, last, digest), want) in enumerate(zip(got, DIGESTS)):
-        if digest != want:
-            lines.append(f"block {i}: got {digest}, pinned {want}; from {first} to {last}")
+    lines += [line for i in range(min(len(got), len(DIGESTS))) if (line := mismatch(i, got))]
     return lines
 
 
-def test_digests_match():
-    bad = mismatches()
-    assert not bad, "\n".join(bad)
+def pytest_generate_tests(metafunc):
+    # one test id per pinned block, so a failure names its block
+    if "block" in metafunc.fixturenames:
+        metafunc.parametrize("block", range(len(DIGESTS)))
+
+
+def test_block_count_matches_pins():
+    assert len(blocks()) == len(DIGESTS)
+
+
+def test_block_digest(block):
+    got = blocks()
+    assert block < len(got), f"{len(got)} blocks, {len(DIGESTS)} pinned"
+    assert (line := mismatch(block, got)) is None, line
 
 
 if __name__ == "__main__":
