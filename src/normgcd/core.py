@@ -6,12 +6,12 @@ per c (unique when gcd(a, b) = 1) and lets the descent replace Euclidean
 divisions with subtractions and halvings.
 
 As v fixes u = (c - v*b) / a, the descent runs on the pairs (c, v) alone.
-The one kernel, ``_descent``, carries each v as x * 2**-E mod a (|x| <= a),
-takes a long first run as one 2-adic division, puts v in [0, a-1] by 2-adic
-Montgomery reduction, _W = 256 twos a step, and recovers u by one exact
-division.  Its a^-1 mod 2**j come from a byte table and Newton steps, with j
-and the mask tabled up to 256 and doubled past it.  ``div1`` and ``div2``,
-the paper's halving steps on (c, v) and (u, v, c), check the kernel in tests.
+The kernel has two halves.  ``_descent`` carries each v as x * 2**-E mod a
+(|x| <= a) and takes a long first run as one 2-adic division.  ``_finish``
+puts v in [0, a-1] by 2-adic Montgomery reduction, _W = 256 twos a step,
+and recovers u by one exact division.  Both take a^-1 mod 2**j from
+``_inverse``.  ``div1`` and ``div2``, the paper's halving steps on (c, v)
+and (u, v, c), check the kernel in tests.
 
 ``wwl1``, ``wwl2`` and their ``_trace`` twins check their operands and
 call the kernel once; ``ext_gcd``, the total entry point, reduces signs,
@@ -73,7 +73,6 @@ _LIFT = tuple((j, (1 << j) - 1) for j in (16, 32, 64, 128, 256))
 
 # the width of the Montgomery tail's word: a power-of-two multiple of 8
 _W = 256
-_WORD = (1 << _W) - 1
 
 
 def _require_positive(a: int, b: int = 1) -> None:
@@ -135,7 +134,8 @@ def _inverse(a: int, k: int) -> int:
     """a^-1 mod 2**j for odd a, j the least power of two >= max(k, 8).
 
     _INVERSES gives 8 bits and each Newton step inv*(2 - a*inv) & 2**j - 1
-    doubles them, j and the mask read from _LIFT up to 256 and doubled past.
+    doubles them, j and the mask read from _LIFT up to 256, all _finish asks
+    for; the doubling past 256 serves only _descent's first-run step.
     """
     inv = _INVERSES[a & 255]
     if k > 8:
@@ -157,16 +157,16 @@ def _descent(
     Starts from c = b mod a with v = 1 and c = a - (b mod a) with v = a - 1,
     each halved to its odd part, and keeps c1 <= c2.  Each iteration
     replaces c2 by c2 - c1 and v2 by v2 - v1 mod a, then halves c2 to its
-    odd part.  Runs while c1 > stop and returns (u, v, c), c the survivor:
-    gcd(a, b), or 1 when stop = 1 and the pair is coprime.  A trace list
-    gets (c1, c2) at loop entry and after every iteration.
+    odd part.  Runs while c1 > stop, then _finish returns (u, v, c) for the
+    survivor c: gcd(a, b), or 1 when stop = 1 and the pair is coprime.  A
+    trace list gets (c1, c2) at loop entry and after every iteration.
     Only c decides a branch and v is linear mod a, so v_i is carried as
     x_i * 2**-E mod a, E the halvings so far: t halvings of c2 are one
     shift, x1 takes the 2**t, and |x1*c2 - x2*c1| = a keeps |x| <= a.
     Each run t is read from c2's low byte by _TRAILING_ZEROS; only a zero
     low byte (c2 = 0, or t >= 8, 1 in 128) measures all of c2.
 
-    Three shortcuts skip states of the full descent; each is exact.
+    Two shortcuts skip states of the full descent; each is exact.
     - Stop at c1 = 1 (stop = 1).  Every c is a multiple of g = gcd(a, b),
       so a pair with g > 1 never reaches 1 and runs on to c1 = 0.  A
       coprime pair has one normalizer of 1 in [0, a-1]: the v of c1 = 1
@@ -181,14 +181,6 @@ def _descent(
       since both c are.  c2 -= (q-1)*c1 and x2 -= (q-1)*x1 make all but
       the last, which the loop (c1 > stop, so it runs) makes with its own
       shift and swap.
-    - Montgomery words in the tail.  v = x * 2**-E mod a with one
-      inv = a^-1 mod 2**min(E, _W): each whole word adds m*a with
-      m = -x*inv mod 2**_W, so x + m*a is a multiple of 2**_W and the shift
-      is exact and multiplies x by 2**-_W mod a; the 0 to _W twos left go
-      the same way, then % a.  The sign of x does not change the value
-      (& reads two's complement), only the cost: & copies a negative int
-      whole.  As m >= 0 and x >= -a, x is >= 0 from the first word with
-      m > 0 on, and & then reads only x's low word.
     """
     tz = _TRAILING_ZEROS
     r = b % a
@@ -228,12 +220,28 @@ def _descent(
             x1, x2 = x2, x1
         if trace is not None:
             trace.append((c1, c2))
-    x = x1 if c1 else x2
-    c = c1 or c2
-    inv = _inverse(a, e) if e < _W else _inverse(a & _WORD, _W)
-    while e > _W:
-        x = (x + (-(x & _WORD) * inv & _WORD) * a) >> _W
-        e -= _W
+    return _finish(a, b, x1 if c1 else x2, e, c1 or c2)
+
+
+def _finish(a: int, b: int, x: int, e: int, c: int) -> tuple[int, int, int]:
+    """(u, v, c) with v = x * 2**-E mod a and u = (c - v*b) / a; a >= 1 odd.
+
+    Montgomery words: one inv = a^-1 mod 2**min(E, _W); each whole word
+    adds m*a with m = -x*inv mod 2**_W, so x + m*a is a multiple of 2**_W
+    and the shift is exact and multiplies x by 2**-_W mod a; the 0 to _W
+    twos left go the same way, then % a.  The sign of x does not change the
+    value (& reads two's complement), only the cost: & copies a negative int
+    whole.  As m >= 0 and x >= -a, x is >= 0 from the first word with m > 0
+    on, and & then reads only x's low word.
+    """
+    if e < _W:
+        inv = _inverse(a, e)
+    else:
+        word = (1 << _W) - 1
+        inv = _inverse(a & word, _W)
+        while e > _W:
+            x = (x + (-(x & word) * inv & word) * a) >> _W
+            e -= _W
     v = (x - (x * inv & (1 << e) - 1) * a >> e) % a
     return (c - v * b) // a, v, c
 

@@ -10,6 +10,7 @@ from normgcd.core import (
     BezoutTriple,
     NormalState,
     NotRepresentableError,
+    _finish,
     _inverse,
     canonical_min_v,
     div1,
@@ -593,25 +594,15 @@ def test_first_run_step_on_every_small_pair():
             assert len(trace) - 1 <= n + b.bit_length()
 
 
-def test_tail_with_an_8_bit_word_on_every_small_pair(monkeypatch):
-    # every odd a < 2**10 against every b < 2**10.  With _W = 8 the tail
-    # takes E (at most 17 here) as up to two whole words and a partial one,
-    # and wwl2 takes a whole word on 46% of the pairs; with _W = 256 it takes
-    # one partial step, an independent route to the same v.  The descent is
-    # checked on its own too, with the work bound of
+def test_every_small_pair_solves_within_the_work_bound():
+    # every odd a < 2**10 against every b < 2**10: wwl2 and wwl2_trace agree
+    # on a normal Bezout triple of gcd(a, b), within the work bound of
     # test_first_run_step_on_every_small_pair
-    def word(w):
-        monkeypatch.setattr("normgcd.core._W", w)
-        monkeypatch.setattr("normgcd.core._WORD", (1 << w) - 1)
-
-    bs = range(1, 2**10)
     for a in range(1, 2**10, 2):
-        word(256)
-        wide = [(wwl2(a, b), wwl2_trace(a, b)) for b in bs]
-        word(8)
         n = a.bit_length()
-        for b, (triple, (traced, trace)) in zip(bs, wide):
-            assert wwl2(a, b) == triple == traced == wwl2_trace(a, b)[0]
+        for b in range(1, 2**10):
+            triple, trace = wwl2_trace(a, b)
+            assert wwl2(a, b) == triple
             u, v, g = triple
             assert u * a + v * b == g == math.gcd(a, b) and 0 <= v < a
             assert len(trace) - 1 <= n + b.bit_length()
@@ -715,44 +706,24 @@ def test_tail_on_each_side_of_the_word(a, b, g, e):
     assert_descents_match_reference(a, b)
 
 
-def _pair_with_e(e, g, unbalanced):
-    """A pair with gcd g whose descent hands the tail exactly E = e, found by
-    a seeded search with _scaled_survivor.  Unbalanced pairs have a 20-bit
-    b / g, so wwl2 takes their first run as one step."""
-    rng = random.Random(2 * e + unbalanced)
-    bits = e - 8 if unbalanced else round(e / 1.41)
-    while True:
-        a = rng.getrandbits(bits) | 1 << bits - 1 | 1
-        b = rng.getrandbits(20) | 1 << 19 if unbalanced else rng.randrange(1, a)
-        if math.gcd(a, b) == 1 and _scaled_survivor(g * a, g * b)[1] == e:
-            return g * a, g * b
-
-
-@pytest.mark.parametrize("unbalanced", [False, True], ids=["balanced", "unbalanced"])
-@pytest.mark.parametrize("e", [255, 256, 257, 511, 512, 513, 768, 769])
-def test_tail_at_each_word_boundary(e, unbalanced):
-    # E = 256k - 1, 256k and 256k + 1 leave 255, 256 and 1 twos to the last
-    # step, after k - 1, k - 1 and k whole words
-    for g in (1, 105):
-        a, b = _pair_with_e(e, g, unbalanced)
-        assert assert_tail(a, b) == e
-        assert ext_gcd(a, b).g == g
-
-
-@pytest.mark.parametrize(
-    "a,d",
-    [(1, 1), (3, 3), (2**256 - 1, 255), (2**256 + 1, 1238926361552897), (2**512 + 1, 2424833)],
-)
-def test_tail_when_the_low_word_of_a_is_special(a, d):
-    # a^-1 is lifted from a's low word alone: a itself, all ones, or 1 for
-    # 2**256 + 1 and 2**512 + 1.  d divides a, so the last pair has g = d.
-    # E passes 256 only once a is a word wide; a = 1 and 3 stop at E <= 1
-    rng = random.Random(a)
-    wide = (rng.getrandbits(20) | 1 << 19, rng.randrange(1, 3 * a), d * rng.randrange(1, a + 1))
-    es = [assert_tail(a, b) for b in (1, 2, *wide)]
-    assert ext_gcd(a, wide[2]).g == d
-    if a.bit_length() >= 256:
-        assert min(es[2:]) > 256
+@pytest.mark.parametrize("w", [8, 256])
+def test_finish_is_x_times_inverse_power_of_two(w, monkeypatch):
+    # _finish on chosen (a, x, E) with a word of w twos: E below, at and past
+    # one word, at and past two, past three, and at, past and twice a's
+    # width; a of one word or several, or with a low word of all ones or 1.
+    # b = 2**E mod a and c = x satisfy the descent's x*b = c*2**E mod a, so
+    # u*a + v*b = c holds exactly
+    monkeypatch.setattr("normgcd.core._W", w)
+    rng = random.Random(w)
+    small = range(1, 2**10, 2) if w == 8 else ()
+    seeded = [rng.getrandbits(n) | 1 << n - 1 | 1 for n in (64, 255, 256, 257, 600, 2048, 8192)]
+    for a in (*small, 1, 3, 2**256 - 1, 2**256 + 1, 2**512 + 1, *seeded):
+        n = a.bit_length()
+        for e in (0, 1, w - 1, w, w + 1, 2 * w, 2 * w + 1, 3 * w + 1, n, n + w + 1, 2 * n):
+            b = pow(2, e, a)
+            for x in (-a, 1 - a, -1, 0, 1, a, rng.randint(-a, a)):
+                u, v, c = _finish(a, b, x, e, x)
+                assert v == x * pow(2, -e, a) % a and u * a + v * b == c == x
 
 
 @pytest.mark.parametrize("g", [1, 105])
@@ -783,7 +754,7 @@ def test_tail_when_a_is_one(b):
 
 
 @pytest.mark.parametrize("low", range(1, 256, 2))
-def test_inverse_and_tail_for_every_odd_low_byte(low):
+def test_inverse_for_every_odd_low_byte(low):
     rng = random.Random(low)
     for a in (low, low + (rng.getrandbits(120) << 8), low + (rng.getrandbits(3000) << 8)):
         # each table row's width, one below it and one above it, and the
@@ -792,9 +763,6 @@ def test_inverse_and_tail_for_every_odd_low_byte(low):
                   129, 255, 256, 257, 511, 512, 513, 2048, 5000):
             j = max(8, 1 << (k - 1).bit_length())
             assert _inverse(a, k) == pow(a, -1, 1 << j)
-    for bits in (8, 64, 200):
-        a = low + (rng.getrandbits(bits) << 8)
-        assert_tail(a, rng.randrange(1, 3 * a))
 
 
 @given(
