@@ -706,24 +706,41 @@ def test_tail_on_each_side_of_the_word(a, b, g, e):
     assert_descents_match_reference(a, b)
 
 
+# E for _finish with a word of w twos and an a of n bits: below, at and past
+# one word, at and past two, past three, and at, past and twice a's width
+_FINISH_E = {
+    "0": lambda w, n: 0,
+    "1": lambda w, n: 1,
+    "w-1": lambda w, n: w - 1,
+    "w": lambda w, n: w,
+    "w+1": lambda w, n: w + 1,
+    "2w": lambda w, n: 2 * w,
+    "2w+1": lambda w, n: 2 * w + 1,
+    "3w+1": lambda w, n: 3 * w + 1,
+    "n": lambda w, n: n,
+    "n+w+1": lambda w, n: n + w + 1,
+    "2n": lambda w, n: 2 * n,
+}
+
+
+@pytest.mark.parametrize("rule", _FINISH_E, ids=lambda rule: f"E={rule}")
 @pytest.mark.parametrize("w", [8, 256])
-def test_finish_is_x_times_inverse_power_of_two(w, monkeypatch):
-    # _finish on chosen (a, x, E) with a word of w twos: E below, at and past
-    # one word, at and past two, past three, and at, past and twice a's
-    # width; a of one word or several, or with a low word of all ones or 1.
+def test_finish_is_x_times_inverse_power_of_two(w, rule, monkeypatch):
+    # _finish on chosen (a, x, E), one id for each word width and rule for E;
+    # a of one word or several, or with a low word of all ones or 1.
     # b = 2**E mod a and c = x satisfy the descent's x*b = c*2**E mod a, so
     # u*a + v*b = c holds exactly
     monkeypatch.setattr("normgcd.core._W", w)
-    rng = random.Random(w)
+    wide = random.Random(w)
+    seeded = [wide.getrandbits(n) | 1 << n - 1 | 1 for n in (64, 255, 256, 257, 600, 2048, 8192)]
     small = range(1, 2**10, 2) if w == 8 else ()
-    seeded = [rng.getrandbits(n) | 1 << n - 1 | 1 for n in (64, 255, 256, 257, 600, 2048, 8192)]
+    rng = random.Random(f"{w} {rule}")
     for a in (*small, 1, 3, 2**256 - 1, 2**256 + 1, 2**512 + 1, *seeded):
-        n = a.bit_length()
-        for e in (0, 1, w - 1, w, w + 1, 2 * w, 2 * w + 1, 3 * w + 1, n, n + w + 1, 2 * n):
-            b = pow(2, e, a)
-            for x in (-a, 1 - a, -1, 0, 1, a, rng.randint(-a, a)):
-                u, v, c = _finish(a, b, x, e, x)
-                assert v == x * pow(2, -e, a) % a and u * a + v * b == c == x
+        e = _FINISH_E[rule](w, a.bit_length())
+        b = pow(2, e, a)
+        for x in (-a, 1 - a, -1, 0, 1, a, rng.randint(-a, a)):
+            u, v, c = _finish(a, b, x, e, x)
+            assert v == x * pow(2, -e, a) % a and u * a + v * b == c == x
 
 
 @pytest.mark.parametrize("g", [1, 105])
